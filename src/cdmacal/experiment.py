@@ -49,8 +49,8 @@ class NetcalControls:
     def __post_init__(self):
         if self.horizon_slots < 2:
             raise ValueError("horizon_slots must be at least 2")
-        if not 0 < self.theta_min < self.theta_max:
-            raise ValueError("need 0 < theta_min < theta_max")
+        if not 0 < self.theta_min < self.theta_max < math.inf:
+            raise ValueError("need 0 < theta_min < theta_max < inf")
         if self.theta_points < 2:
             raise ValueError("theta_points must be at least 2")
         if not self.resolution_blocks > 0:

@@ -17,9 +17,11 @@ bounded by
 
 so the epsilon-quantile delay bound is the smallest tau_d making the sum
 drop below epsilon for some theta > 0.  Sums are truncated at a horizon
-with a geometric tail estimate, all arithmetic stays in the log domain, and
-theta is optimised on a log-spaced grid with local refinement around the
-grid minimiser.
+with a geometric tail estimate, and theta is optimised on a log-spaced grid
+with local refinement around the grid minimiser.  All arithmetic stays in
+the log domain: ln Ms advances one slot by one ``np.logaddexp`` per nonzero
+diagonal of P, and the search sums each residue class of slots mod tau by a
+suffix ``logaddexp.accumulate``, giving the truncated sum at every tau_d.
 
 Throughput is the largest sustainable arrival rate, found by integer
 bisection on a lattice of spacing ``resolution_blocks``: the reported rate
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fsmc import FsmcModel
 
@@ -55,8 +56,8 @@ class PeriodicSource:
         return self.delta_blocks / self.tau_slots
 
     def log_mgf(self, theta, t):
-        """ln Ma(theta, t) for integer slot counts t >= 0 (vectorised)."""
-        if theta < 0:
+        """ln Ma(theta, t) for integer slot counts t >= 0 (broadcasts)."""
+        if np.any(np.less(theta, 0)):
             raise ValueError("theta must be nonnegative")
         t = np.asarray(t)
         if np.any(t < 0):
@@ -78,26 +79,36 @@ def arrival_mgf(source, theta, t):
 class ServiceMgf:
     """Evaluator for the FSMC service MGF with a per-theta table cache.
 
-    The running state vector is propagated once per theta up to the
-    requested horizon and memoised, so sweeps that probe many arrival rates
-    against one channel pay for each theta only once.  The cache is a plain
-    dict with atomic insertions; workers that need isolation should hold
-    their own evaluator.
+    The state vector ln(pi D (P D)^{t-1}) is propagated once per theta up to
+    the requested horizon and memoised, so sweeps that probe many arrival
+    rates against one channel pay for each theta only once.  A slot
+    log-adds w[i] + ln P[i, i+k] into state i+k along each nonzero diagonal
+    k of P (3 for a birth-death chain), exact for any P.  The cache is a
+    plain dict with atomic insertions; workers that need isolation should
+    hold their own evaluator.
     """
 
     def __init__(self, model: FsmcModel):
         self.model = model
+        p = model.transition
+        n = p.shape[0]
         with np.errstate(divide="ignore"):
             self._log_pi = np.log(model.pi)
-            self._log_p = np.log(model.transition)
+            # (source slice, target slice, ln P along diagonal k); the main
+            # diagonal comes first and is always kept, as it spans every state
+            self._diagonals = [
+                (slice(max(0, -k), n - max(0, k)), slice(max(0, k), n - max(0, -k)),
+                 np.log(np.diagonal(p, k))[:, None])
+                for k in sorted(range(1 - n, n), key=abs)
+                if k == 0 or np.diagonal(p, k).any()]
         self._rates = model.rates_blocks
         self._cache = {}
 
     def table(self, thetas, horizon_slots):
         """ln Ms rows for each theta, columns t = 0..horizon_slots."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        if np.any(thetas < 0):
-            raise ValueError("theta must be nonnegative")
+        if not np.all(np.isfinite(thetas) & (thetas >= 0)):
+            raise ValueError("theta must be finite and nonnegative")
         missing = [th for th in thetas
                    if th not in self._cache or self._cache[th].shape[0] < horizon_slots + 1]
         if missing:
@@ -107,18 +118,23 @@ class ServiceMgf:
         return np.vstack([self._cache[th][:horizon_slots + 1] for th in thetas])
 
     def _compute(self, thetas, horizon):
-        m = len(thetas)
-        out = np.empty((m, horizon + 1))
-        out[:, 0] = 0.0
+        # states along axis 0, so each diagonal moves contiguous rows
+        out = np.empty((horizon + 1, len(thetas)))
+        out[0] = 0.0
         if horizon == 0:
-            return out
-        decay = thetas[:, None] * self._rates[None, :]
-        lw = self._log_pi[None, :] - decay
-        out[:, 1] = logsumexp(lw, axis=1)
+            return out.T
+        decay = self._rates[:, None] * thetas[None, :]
+        lw = self._log_pi[:, None] - decay
+        out[1] = np.logaddexp.reduce(lw, axis=0)
+        (_, _, lp_main), *off_main = self._diagonals
         for t in range(2, horizon + 1):
-            lw = logsumexp(lw[:, :, None] + self._log_p[None, :, :], axis=1) - decay
-            out[:, t] = logsumexp(lw, axis=1)
-        return out
+            nxt = lw + lp_main
+            for src, tgt, lp in off_main:
+                np.logaddexp(nxt[tgt], lw[src] + lp, out=nxt[tgt])
+            nxt -= decay
+            lw = nxt
+            np.logaddexp.reduce(lw, axis=0, out=out[t])
+        return out.T
 
     def log_mgf(self, theta, t):
         """ln Ms(theta, t) for one theta and integer t >= 0."""
@@ -145,86 +161,55 @@ class DelayBoundResult:
     unstable: bool              # no grid theta had a decaying summand
 
 
-def _theta_stats_fast(a, logms, log_eps):
-    """Vectorised delay search when ln Ma is linear in t (tau = 1).
+def _theta_stats(source, thetas, logms, log_eps):
+    """Vectorised delay search over the theta grid for a periodic source.
+
+    With a = theta delta and tau the period, Ma(theta, q tau + r) =
+    e^{a q} b_r where b_r = 1 - r/tau + (r/tau) e^{a}, so the truncated sum
+    F(tau_d) = sum_{s >= tau_d} Ma(s - tau_d) Ms(s) splits over the phase r:
+    F(tau_d) = sum_r b_r H(tau_d + r), with H(s) = sum_{q >= 0} e^{a q}
+    Ms(s + q tau) one suffix sum within the residue class of s mod tau.
+    F is non-increasing in tau_d, so d is the first slot with
+    ln F <= ln epsilon.
 
     Returns (d, log_tail, decaying) per theta; d is inf where the summand
-    does not decay at the horizon or no truncated sum meets epsilon.
+    does not decay at the horizon or no truncated sum meets epsilon, and
+    log_tail (the geometric estimate of the neglected tail) is inf with it.
     """
     m, t1 = logms.shape
-    s = np.arange(t1)
-    w = a[:, None] * s[None, :] + logms
-    g = np.logaddexp.accumulate(w[:, ::-1], axis=1)[:, ::-1]
-    log_f = g - a[:, None] * s[None, :]
+    tau = source.tau_slots
+    a = thetas * source.delta_blocks
+    n_q = -(-(t1 + tau - 1) // tau)          # room for H(s) up to s = t1 + tau - 2
+    aq = a[:, None] * (np.arange(n_q * tau) // tau)     # a q at slot q tau + r
+    w = np.full(aq.shape, -np.inf)
+    np.add(logms, aq[:, :t1], out=w[:, :t1])
+    g = np.logaddexp.accumulate(w.reshape(m, n_q, tau)[:, ::-1], axis=1)[:, ::-1]
+    log_h = w                               # w is spent: reuse its buffer
+    np.subtract(g, aq.reshape(g.shape), out=log_h.reshape(g.shape))
+
+    log_b = source.log_mgf(thetas[:, None], np.arange(tau))    # ln b_r
+    log_f = log_h[:, :t1]
+    for r in range(1, tau):
+        log_f = np.logaddexp(log_f, log_b[:, r:r + 1] + log_h[:, r:r + t1])
 
     ok = log_f <= log_eps
     d = np.where(ok.any(axis=1), ok.argmax(axis=1).astype(float), np.inf)
 
     k = min(_STABILITY_WINDOW, t1 - 1)
-    end = w[:, -1]
-    finished = np.isneginf(end)          # summand already underflowed: converged
+    v = source.log_mgf(thetas[:, None], np.arange(t1 - k - 1, t1)) + logms[:, -k - 1:]
+    finished = np.isneginf(v[:, -1])        # summand already underflowed: converged
     with np.errstate(invalid="ignore"):
-        slope = np.diff(w[:, -k - 1:], axis=1).max(axis=1)
+        slope = np.diff(v, axis=1).max(axis=1)
     decaying = finished | (slope < 0)
     d = np.where(decaying, d, np.inf)
 
+    certified = np.isfinite(d)
+    last = np.where(certified, t1 - 1 - d, 0).astype(int)
     with np.errstate(invalid="ignore", divide="ignore"):
-        log_tail = np.where(
-            finished, -np.inf,
-            end + slope - np.log1p(-np.exp(np.minimum(slope, -1e-300))))
-    log_tail = log_tail - a * np.where(np.isfinite(d), d, 0.0)
-    return d, log_tail, decaying
-
-
-def _theta_stats_general(source, thetas, logms, log_eps):
-    """Per-theta delay search for arbitrary integer-period arrivals."""
-    t1 = logms.shape[1]
-    s = np.arange(t1)
-    d_out = np.full(len(thetas), np.inf)
-    tail_out = np.full(len(thetas), np.inf)
-    decaying = np.zeros(len(thetas), dtype=bool)
-    for i, theta in enumerate(thetas):
-        logma = source.log_mgf(theta, s)
-        row = logms[i]
-
-        def log_f(tau):
-            return logsumexp(logma[:t1 - tau] + row[tau:])
-
-        k = min(_STABILITY_WINDOW, t1 - 1)
-        v = logma + row
-        end = v[-1]
-        finished = math.isinf(end) and end < 0
-        slope = float(np.diff(v[-k - 1:]).max()) if not finished else -math.inf
-        if not finished and slope >= 0:
-            continue
-        decaying[i] = True
-        if log_f(t1 - 1) > log_eps:
-            continue
-        lo, hi = 0, t1 - 1                      # hi certified, lo maybe not
-        if log_f(0) <= log_eps:
-            hi = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if log_f(mid) <= log_eps:
-                hi = mid
-            else:
-                lo = mid
-        tau = hi
-        d_out[i] = tau
-        if finished:
-            tail_out[i] = -np.inf
-        else:
-            last = logma[t1 - 1 - tau] + row[-1]
-            tail_out[i] = last + slope - math.log1p(-math.exp(slope))
-    return d_out, tail_out, decaying
-
-
-def _best_theta(source, service, thetas, horizon, log_eps):
-    logms = service.table(thetas, horizon)
-    if source.tau_slots == 1:
-        a = thetas * source.delta_blocks
-        return _theta_stats_fast(a, logms, log_eps)
-    return _theta_stats_general(source, thetas, logms, log_eps)
+        log_tail = (source.log_mgf(thetas, last) + logms[:, -1] + slope
+                    - np.log1p(-np.exp(np.minimum(slope, -1e-300))))
+    log_tail = np.where(finished, -np.inf, log_tail)
+    return d, np.where(certified, log_tail, np.inf), decaying
 
 
 def delay_bound(source, service, epsilon, *, horizon_slots=4000,
@@ -241,11 +226,14 @@ def delay_bound(source, service, epsilon, *, horizon_slots=4000,
     if horizon_slots < 2:
         raise ValueError("horizon_slots must be at least 2")
     thetas = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, float)
-    if np.any(thetas <= 0):
-        raise ValueError("theta grid must be positive")
+    if not np.all(np.isfinite(thetas) & (thetas > 0)):
+        raise ValueError("theta grid must be positive and finite")
+    if refine > 0 and refine_points < 2:
+        raise ValueError("refine_points must be at least 2")
     log_eps = math.log(epsilon)
 
-    d, log_tail, decaying = _best_theta(source, service, thetas, horizon_slots, log_eps)
+    d, log_tail, decaying = _theta_stats(
+        source, thetas, service.table(thetas, horizon_slots), log_eps)
     all_unstable = not bool(decaying.any())
 
     def pick(thetas, d, log_tail):
@@ -265,7 +253,8 @@ def delay_bound(source, service, epsilon, *, horizon_slots=4000,
         center = best_theta
         for _ in range(refine):
             zoom = np.geomspace(center / ratio, center * ratio, refine_points)
-            dz, ltz, _ = _best_theta(source, service, zoom, horizon_slots, log_eps)
+            dz, ltz, _ = _theta_stats(source, zoom, service.table(zoom, horizon_slots),
+                                      log_eps)
             dz_best, th_z, lt_z = pick(zoom, dz, ltz)
             if dz_best < best_d or (dz_best == best_d and lt_z < best_lt):
                 best_d, best_theta, best_lt = dz_best, th_z, lt_z

@@ -42,8 +42,11 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     """Draw n finite-system SINR samples; returns (sinr, p1) arrays.
 
     Signatures are i.i.d. CN(0, I/m) columns, channel gains CN(0, 1); the
-    tagged user's SINR is p1 * s1^H M^-1 s1 with M the interference-plus-
-    noise covariance over users 2..k, evaluated by a batched linear solve.
+    tagged user's SINR is p1 * s1^H M^-1 s1 with M = sigma2 I + A A^H the
+    interference-plus-noise covariance over users 2..k (A = columns
+    sqrt(p_j) s_j).  By the Woodbury identity
+    s1^H M^-1 s1 = (|s1|^2 - y^H (sigma2 I + A^H A)^-1 y) / sigma2 with
+    y = A^H s1, a batched solve of order k - 1 instead of m.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive integers")
@@ -53,7 +56,7 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     sinr = np.empty(n)
     p1 = np.empty(n)
     done = 0
-    eye = sigma2 * np.eye(m)
+    eye = sigma2 * np.eye(k - 1)
     while done < n:
         c = min(chunk, n - done)
         s = (rng.standard_normal((c, m, k)) + 1j * rng.standard_normal((c, m, k)))
@@ -61,10 +64,12 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
         h = (rng.standard_normal((c, k)) + 1j * rng.standard_normal((c, k))) / math.sqrt(2)
         p = np.abs(h) ** 2
         a = s[:, :, 1:] * np.sqrt(p[:, None, 1:])
-        cov = a @ a.conj().transpose(0, 2, 1) + eye
+        a_h = a.conj().transpose(0, 2, 1)
         s1 = s[:, :, 0]
-        x = np.linalg.solve(cov, s1[:, :, None])[:, :, 0]
-        quad = np.real(np.sum(s1.conj() * x, axis=1))
+        y = a_h @ s1[:, :, None]
+        x = np.linalg.solve(a_h @ a + eye, y)
+        quad = (np.sum(np.abs(s1) ** 2, axis=1)
+                - np.real(np.sum(y.conj() * x, axis=(1, 2)))) / sigma2
         sinr[done:done + c] = p[:, 0] * quad
         p1[done:done + c] = p[:, 0]
         done += c

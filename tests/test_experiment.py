@@ -110,6 +110,12 @@ def test_spec_validation_bounds():
         cc.parse_config(BASE + "tau_slots = 0\n")
     with pytest.raises(cc.ConfigError):
         cc.parse_config(BASE + "theta_points = 1\n")
+    for bad in ("theta_max = inf\n", "theta_max = nan\n", "theta_min = nan\n"):
+        with pytest.raises(cc.ConfigError):
+            cc.parse_config(BASE + bad)
+    with pytest.raises(cc.ConfigError):
+        cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
+                       "theta_max": math.inf})
 
 
 def test_single_point_run_row_contents():

@@ -1,7 +1,8 @@
 """Queueing-bound checks against enumeration oracles and closed forms.
 
 The arrival MGF is compared with explicit window counting, the service MGF
-with exhaustive path enumeration, and the delay bound with the geometric
+with exhaustive path enumeration and a dense logsumexp recursion, the
+delay search with a per-theta bisection, and the delay bound with the geometric
 closed form available for a constant-rate server.  The throughput search
 is checked for its lattice certificate and its degenerate outcomes.
 """
@@ -13,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdmacal as cc
-from cdmacal.netcal import _theta_stats_fast, _theta_stats_general
+from cdmacal.netcal import _theta_stats
 
 from conftest import single_state_model
 from oracles import (arrival_log_mgf_enumeration, random_chain,
-                     service_log_mgf_enumeration)
+                     service_log_mgf_enumeration,
+                     service_log_mgf_table_logsumexp, theta_stats_bisection)
 
 
 def _chain_model(pi, p, rates):
@@ -73,6 +75,40 @@ def test_service_mgf_matches_path_enumeration():
                 math.exp(want), rel=1e-11)
             checked += 1
     assert checked == 300
+
+
+def _assert_table_close(got, want):
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin])
+                  <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+
+
+def test_service_mgf_table_matches_logsumexp_recursion():
+    rng = np.random.default_rng(77)
+    grid = cc.default_theta_grid()
+    for trial in range(24):
+        n = int(rng.integers(1, 9))
+        pi, p, rates = random_chain(rng, n, max_rate=(3.0, 30.0)[trial % 2],
+                                    sparse=trial % 3 == 1)
+        if trial % 4 == 3:
+            rates[0] = 0.0                          # force an outage state
+        got = cc.ServiceMgf(_chain_model(pi, p, rates)).table(grid, 300)
+        want = service_log_mgf_table_logsumexp(pi, p, rates, grid, 300)
+        _assert_table_close(got, want)
+
+
+def test_service_mgf_table_keeps_mass_a_linear_recursion_underflows():
+    # from the 30-block state the chain must pass through the zero-rate
+    # state, whose weight e^{-1500} underflows on the linear scale
+    pi, p = np.array([1 / 3, 2 / 3]), np.array([[0.0, 1.0], [0.5, 0.5]])
+    rates = np.array([0.0, 30.0])
+    got = cc.ServiceMgf(_chain_model(pi, p, rates)).table(50.0, 40)
+    assert got[0, 2] == pytest.approx(-1500 + math.log(2 / 3), abs=1e-12)
+    _assert_table_close(got, service_log_mgf_table_logsumexp(pi, p, rates,
+                                                             [50.0], 40))
+    single = cc.ServiceMgf(single_state_model(20.0)).table(50.0, 300)[0]
+    assert np.array_equal(single, -1000.0 * np.arange(301))
 
 
 def test_service_mgf_at_time_zero_is_one(ref_service):
@@ -169,19 +205,29 @@ def test_delay_bound_improves_with_faster_server(ref_model):
     assert quick.d_slots <= base.d_slots
 
 
-def test_fast_and_general_search_agree(ref_service):
+def test_theta_stats_matches_bisection_oracle(ref_model, ref_service):
     grid = cc.default_theta_grid(points=25)
-    horizon = 600
-    logms = ref_service.table(grid, horizon)
-    for delta in (0.8, 1.663, 3.2):
-        src = cc.PeriodicSource(delta, tau_slots=1)
-        log_eps = math.log(1e-2)
-        d_f, lt_f, dec_f = _theta_stats_fast(grid * delta, logms, log_eps)
-        d_g, lt_g, dec_g = _theta_stats_general(src, grid, logms, log_eps)
-        assert np.array_equal(dec_f, dec_g)
-        assert np.array_equal(d_f, d_g)
-        both = np.isfinite(d_f)
-        assert np.allclose(lt_f[both], lt_g[both], rtol=1e-9, atol=1e-9)
+    logms = ref_service.table(grid, 601)
+    mean_rate = float(ref_model.pi @ ref_model.rates_blocks)
+    checked = 0
+    for tau in (1, 2, 3, 5, 7):
+        for load in (0.3, 0.9, 1.2):                 # 1.2: overloaded
+            src = cc.PeriodicSource(load * mean_rate * tau, tau_slots=tau)
+            # 601, 602 and 98 slots: multiples of some periods, not of others
+            for horizon in (600, 601, 97):
+                for eps in (1e-1, 1e-2, 1e-4):
+                    log_eps = math.log(eps)
+                    rows = logms[:, :horizon + 1]
+                    d, lt, dec = _theta_stats(src, grid, rows, log_eps)
+                    d_o, lt_o, dec_o = theta_stats_bisection(src, grid, rows,
+                                                             log_eps)
+                    assert np.array_equal(dec, dec_o), (tau, load, horizon, eps)
+                    assert np.array_equal(d, d_o), (tau, load, horizon, eps)
+                    both = np.isfinite(d)
+                    assert np.allclose(lt[both], lt_o[both], rtol=1e-9,
+                                       atol=0), (tau, load, horizon, eps)
+                    checked += int(both.sum())
+    assert checked > 200
 
 
 def test_longer_period_bursts_delay_more(ref_service):
@@ -232,6 +278,11 @@ def test_delay_bound_input_validation(ref_service):
         cc.delay_bound(src, ref_service, 1.0)
     with pytest.raises(ValueError):
         cc.delay_bound(src, ref_service, 1e-2, theta_grid=[0.0, 1.0])
+    for bad in ([0.1, math.nan], [0.1, math.inf]):
+        with pytest.raises(ValueError):
+            cc.delay_bound(src, ref_service, 1e-2, theta_grid=bad)
+    with pytest.raises(ValueError):
+        cc.delay_bound(src, ref_service, 1e-2, refine=1, refine_points=1)
     with pytest.raises(ValueError):
         cc.PeriodicSource(-1.0)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 import cdmacal as cc
 
 from conftest import single_state_model
+from oracles import finite_sinr_direct
 
 
 def test_single_user_is_matched_filter():
@@ -26,6 +27,14 @@ def test_finite_sinr_concentrates_on_decoupled_value():
     beta = cc.solve_fixed_point(cfg).beta
     sinr, p1 = cc.sample_finite_sinr_batch(96, 48, cfg.sigma2, 1500, seed=31)
     assert np.mean(sinr / p1) * beta == pytest.approx(1.0, abs=0.05)
+
+
+def test_finite_sinr_woodbury_matches_direct_solve():
+    for k, sigma2 in ((8, 0.5), (16, 1e-3), (1, 0.25)):
+        sinr, p1 = cc.sample_finite_sinr_batch(16, k, sigma2, 64, seed=5)
+        want, p1_want = finite_sinr_direct(16, k, sigma2, 64, seed=5)
+        assert np.array_equal(p1, p1_want)
+        assert np.allclose(sinr, want, rtol=1e-9, atol=0)
 
 
 def test_finite_sinr_single_draw_and_validation():
