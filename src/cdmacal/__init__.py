@@ -20,12 +20,11 @@ from .experiment import (ExperimentSpec, NetcalControls, build_spec,
 from .fsmc import (FsmcModel, build_fsmc, level_crossing_rate,
                    stationary_distribution)
 from .largesys import (DecoupledChannel, SystemConfig, interference_integral,
-                       interference_integral_closed_form,
                        post_detection_snr_pdf, solve_fixed_point)
-from .netcal import (DelayBoundResult, PeriodicSource, ServiceMgf,
-                     ThroughputResult, capacity_limit, arrival_mgf,
-                     default_theta_grid, delay_bound,
-                     delay_constrained_throughput)
+from .netcal import (DelayBoundResult, PeriodicSource, ThroughputResult,
+                     capacity_limit, arrival_mgf, delay_bound,
+                     delay_constrained_throughput, log_violation_bound,
+                     service_log_mgf)
 from .sim import (FiniteSystemSample, QueueTrace, sample_finite_sinr,
                   sample_finite_sinr_batch, simulate_fifo_queue,
                   simulate_fsmc)
@@ -42,11 +41,10 @@ __all__ = [
     "FsmcModel", "build_fsmc", "level_crossing_rate",
     "stationary_distribution",
     "DecoupledChannel", "SystemConfig", "interference_integral",
-    "interference_integral_closed_form", "post_detection_snr_pdf",
-    "solve_fixed_point",
-    "DelayBoundResult", "PeriodicSource", "ServiceMgf", "ThroughputResult",
-    "capacity_limit", "arrival_mgf", "default_theta_grid", "delay_bound",
-    "delay_constrained_throughput",
+    "post_detection_snr_pdf", "solve_fixed_point",
+    "DelayBoundResult", "PeriodicSource", "ThroughputResult",
+    "capacity_limit", "arrival_mgf", "delay_bound",
+    "delay_constrained_throughput", "log_violation_bound", "service_log_mgf",
     "FiniteSystemSample", "QueueTrace", "sample_finite_sinr",
     "sample_finite_sinr_batch", "simulate_fifo_queue", "simulate_fsmc",
     "db_to_linear", "linear_to_db",

@@ -14,8 +14,16 @@ import sys
 
 from .amc import default_mode_table, verify_thresholds
 from .errors import ConfigError, SlowFadingViolation
-from .experiment import (ExperimentSpec, build_spec, parse_config,
+from .experiment import (REMOVED_REASON, build_spec, parse_config,
                          render_csv, run_experiment, _fmt)
+
+# Flags of the truncated bound, refused by name rather than ignored.
+_REMOVED_FLAGS = ("--horizon", "--theta-min", "--theta-max", "--theta-points")
+
+
+class _RemovedFlag(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise ConfigError("%s was removed: %s" % (option_string, REMOVED_REASON))
 
 
 def _add_common(p):
@@ -28,10 +36,8 @@ def _add_common(p):
     p.add_argument("--n-b-bits", type=int, dest="n_b_bits")
     p.add_argument("--epsilon", type=float, dest="epsilon")
     p.add_argument("--d-guarantee", type=int, dest="d_guarantee_slots")
-    p.add_argument("--horizon", type=int, dest="horizon_slots")
-    p.add_argument("--theta-min", type=float, dest="theta_min")
-    p.add_argument("--theta-max", type=float, dest="theta_max")
-    p.add_argument("--theta-points", type=int, dest="theta_points")
+    for flag in _REMOVED_FLAGS:
+        p.add_argument(flag, action=_RemovedFlag, help=argparse.SUPPRESS)
     p.add_argument("--resolution", type=float, dest="resolution_blocks")
     p.add_argument("--tau", type=int, dest="tau_slots")
     p.add_argument("--validate-slots", type=int, dest="validate_slots")
@@ -44,8 +50,7 @@ def _add_common(p):
 
 _OVERRIDE_KEYS = (
     "snr_avg_db", "alpha", "f_m_hz", "t_b_s", "w_hz", "n_b_bits", "epsilon",
-    "d_guarantee_slots", "horizon_slots", "theta_min", "theta_max",
-    "theta_points", "resolution_blocks", "tau_slots", "validate_slots",
+    "d_guarantee_slots", "resolution_blocks", "tau_slots", "validate_slots",
     "seed", "output",
 )
 
@@ -186,8 +191,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

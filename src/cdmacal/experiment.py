@@ -18,7 +18,7 @@ from .amc import ModeTable, default_mode_table
 from .errors import ConfigError, SlowFadingViolation
 from .fsmc import build_fsmc
 from .largesys import SystemConfig, solve_fixed_point
-from .netcal import (PeriodicSource, ServiceMgf, capacity_limit,
+from .netcal import (PeriodicSource, capacity_limit,
                      delay_constrained_throughput)
 from .sim import simulate_fifo_queue
 
@@ -29,7 +29,7 @@ CSV_COLUMNS = (
     "epsilon", "delay_guarantee_slots",
     "beta", "gamma_bar", "capacity_limit_bps",
     "throughput_blocks", "throughput_bps",
-    "delay_bound_slots", "theta_star", "tail_bound",
+    "delay_bound_slots", "theta_star",
     "bound_valid", "bound_unstable", "infeasible", "capped",
     "sim_violation_freq", "sim_violation_se", "sim_epochs", "error",
 )
@@ -37,29 +37,22 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class NetcalControls:
-    """Numerical knobs for the bound computation."""
+    """Throughput lattice spacing and arrival period of the bound computation."""
 
-    horizon_slots: int = 4000
-    theta_min: float = 1e-4
-    theta_max: float = 50.0
-    theta_points: int = 60
     resolution_blocks: float = 1e-3
     tau_slots: int = 1
 
     def __post_init__(self):
-        if self.horizon_slots < 2:
-            raise ValueError("horizon_slots must be at least 2")
-        if not 0 < self.theta_min < self.theta_max < math.inf:
-            raise ValueError("need 0 < theta_min < theta_max < inf")
-        if self.theta_points < 2:
-            raise ValueError("theta_points must be at least 2")
         if not self.resolution_blocks > 0:
             raise ValueError("resolution_blocks must be positive")
         if self.tau_slots < 1:
             raise ValueError("tau_slots must be a positive integer")
 
-    def theta_grid(self):
-        return np.geomspace(self.theta_min, self.theta_max, self.theta_points)
+
+# Keys of the truncated bound, refused by name rather than ignored.
+REMOVED_KEYS = ("horizon_slots", "theta_min", "theta_max", "theta_points")
+REMOVED_REASON = ("the delay bound is now an exact closed-form sum, with no "
+                  "horizon or theta grid to set")
 
 
 @dataclass(frozen=True)
@@ -111,12 +104,10 @@ class ExperimentSpec:
 
 _FLOAT_KEYS = {
     "snr_avg_db", "alpha", "f_m_hz", "t_b_s", "w_hz", "epsilon",
-    "sweep_start", "sweep_stop", "sweep_step",
-    "theta_min", "theta_max", "resolution_blocks",
+    "sweep_start", "sweep_stop", "sweep_step", "resolution_blocks",
 }
 _INT_KEYS = {
-    "n_b_bits", "d_guarantee_slots", "horizon_slots", "theta_points",
-    "tau_slots", "validate_slots", "seed",
+    "n_b_bits", "d_guarantee_slots", "tau_slots", "validate_slots", "seed",
 }
 _BOOL_KEYS = {"validate"}
 _STR_KEYS = {"sweep_axis", "output"}
@@ -166,6 +157,9 @@ def parse_config(text, overrides=None):
             in_modes = False
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
+            if key in REMOVED_KEYS:
+                raise ConfigError("line %d: %r was removed: %s"
+                                  % (lineno, key, REMOVED_REASON))
             if key not in _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS:
                 raise ConfigError("line %d: unknown key %r" % (lineno, key))
             if not raw:
@@ -193,6 +187,9 @@ def parse_config(text, overrides=None):
 
 def build_spec(values, mode_rows=None):
     """Assemble an ExperimentSpec from a flat dict of typed values."""
+    for key in REMOVED_KEYS:
+        if key in values:
+            raise ConfigError("%r was removed: %s" % (key, REMOVED_REASON))
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError("missing required keys: %s" % ", ".join(missing))
@@ -204,9 +201,8 @@ def build_spec(values, mode_rows=None):
                        "n_b_bits") if k in values}
         system = SystemConfig(modes=table, **sys_kwargs)
         controls = NetcalControls(**{k: values[k] for k in
-                                     ("horizon_slots", "theta_min", "theta_max",
-                                      "theta_points", "resolution_blocks",
-                                      "tau_slots") if k in values})
+                                     ("resolution_blocks", "tau_slots")
+                                     if k in values})
         spec_kwargs = {k: values[k] for k in
                        ("epsilon", "d_guarantee_slots", "sweep_axis",
                         "sweep_start", "sweep_stop", "sweep_step", "validate",
@@ -229,9 +225,9 @@ def _point_inputs(spec, value):
     return cfg, eps, d_g
 
 
-def evaluate_point(spec, value, seed_seq=None, service=None, model=None):
-    """Compute one sweep point; returns (row_dict, model, service) so a
-    caller sweeping a queue-only axis can reuse the channel artifacts."""
+def evaluate_point(spec, value, seed_seq=None, model=None):
+    """Compute one sweep point; returns (row_dict, model) so a caller
+    sweeping a queue-only axis can reuse the channel model."""
     cfg, eps, d_g = _point_inputs(spec, value)
     row = {c: "" for c in CSV_COLUMNS}
     row["axis"] = spec.sweep_axis or "none"
@@ -243,20 +239,14 @@ def evaluate_point(spec, value, seed_seq=None, service=None, model=None):
     row["delay_guarantee_slots"] = d_g
     try:
         if model is None:
-            channel = solve_fixed_point(cfg)
-            model = build_fsmc(cfg, channel)
-            service = None
-        if service is None:
-            service = ServiceMgf(model)
+            model = build_fsmc(cfg, solve_fixed_point(cfg))
         ctl = spec.controls
         result = delay_constrained_throughput(
             cfg, model, epsilon=eps, d_guarantee_slots=d_g,
-            resolution_blocks=ctl.resolution_blocks, tau_slots=ctl.tau_slots,
-            horizon_slots=ctl.horizon_slots, theta_grid=ctl.theta_grid(),
-            service=service)
+            resolution_blocks=ctl.resolution_blocks, tau_slots=ctl.tau_slots)
     except SlowFadingViolation as exc:
         row["error"] = str(exc)
-        return row, None, None
+        return row, None
     row["beta"] = 1.0 / model.gamma_bar
     row["gamma_bar"] = model.gamma_bar
     row["capacity_limit_bps"] = capacity_limit(cfg, model)
@@ -265,7 +255,6 @@ def evaluate_point(spec, value, seed_seq=None, service=None, model=None):
     bound = result.delay_at_lambda
     row["delay_bound_slots"] = bound.d_slots
     row["theta_star"] = bound.theta_star
-    row["tail_bound"] = bound.tail_bound
     row["bound_valid"] = bound.valid
     row["bound_unstable"] = bound.unstable
     row["infeasible"] = result.infeasible
@@ -283,13 +272,12 @@ def evaluate_point(spec, value, seed_seq=None, service=None, model=None):
         row["sim_epochs"] = trace.epochs
         if trace.unstable:
             row["error"] = "simulated queue exceeded backlog cap"
-    return row, model, service
+    return row, model
 
 
 def _worker(args):
     spec, value, seed_seq = args
-    row, _, _ = evaluate_point(spec, value, seed_seq=seed_seq)
-    return row
+    return evaluate_point(spec, value, seed_seq=seed_seq)[0]
 
 
 def run_experiment(spec, workers=1):
@@ -301,14 +289,13 @@ def run_experiment(spec, workers=1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_worker, payloads))
     rows = []
-    model = service = None
+    model = None
     reuse = spec.sweep_axis in ("delay_guarantee", "epsilon", "")
     for value, child in zip(values, children):
-        row, m, s = evaluate_point(spec, value, seed_seq=child,
-                                   service=service if reuse else None,
-                                   model=model if reuse else None)
+        row, m = evaluate_point(spec, value, seed_seq=child,
+                                model=model if reuse else None)
         if reuse and m is not None:
-            model, service = m, s
+            model = m
         rows.append(row)
     return rows
 
@@ -340,8 +327,6 @@ def metadata_lines(spec):
         ("f_m_hz", cfg.f_m_hz), ("t_b_s", cfg.t_b_s), ("w_hz", cfg.w_hz),
         ("n_b_bits", cfg.n_b_bits), ("epsilon", spec.epsilon),
         ("d_guarantee_slots", spec.d_guarantee_slots),
-        ("horizon_slots", ctl.horizon_slots), ("theta_min", ctl.theta_min),
-        ("theta_max", ctl.theta_max), ("theta_points", ctl.theta_points),
         ("resolution_blocks", ctl.resolution_blocks),
         ("tau_slots", ctl.tau_slots), ("seed", spec.seed),
         ("validate", spec.validate), ("validate_slots", spec.validate_slots),

@@ -15,8 +15,10 @@ user, and the SNR density is exponential: f(gamma) = exp(-gamma/gamma_bar)
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
+import sys
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .amc import ModeTable, default_mode_table
 from .units import db_to_linear
@@ -111,60 +113,25 @@ def interference_integral(beta, rtol=1e-12):
     raise RuntimeError(f"interference integral did not converge for beta={beta}")
 
 
-def interference_integral_closed_form(beta, dps=40):
-    """Closed form beta * (1 - beta e^beta E1(beta)), via arbitrary precision.
-
-    E1 underflows and e^beta overflows in double precision for large beta,
-    so this path is kept as a cross-check rather than the default.
-    """
-    import mpmath as mp
-
-    if not beta > 0 or not math.isfinite(beta):
-        raise ValueError("beta must be positive and finite")
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        return float(b * (1 - b * mp.exp(b) * mp.e1(b)))
-
-
-def _bisect_fixed_point(sigma2, alpha, iters=200):
-    """Bracketing fallback: beta* lies in [sigma^2, sigma^2 + alpha]."""
-    g = lambda b: b - sigma2 - alpha * interference_integral(b)
-    lo, hi = sigma2, sigma2 + alpha
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def solve_fixed_point(cfg, alpha=None, rtol=1e-13, max_iter=100_000):
+def solve_fixed_point(cfg, alpha=None):
     """Solve the large-system fixed point for beta and gamma_bar = 1/beta.
 
-    Plain iteration from beta_0 = sigma^2 increases monotonically to the
-    unique fixed point; if it fails to meet a 1e-10 relative residual within
-    max_iter steps the bracketing bisection takes over.
+    g(b) = b - sigma^2 - alpha I(b) is negative at sigma^2 and positive at
+    sigma^2 + alpha (0 < I(b) < 1), so one ``brentq`` on that bracket finds
+    the unique root; at zero load the bracket has zero width and beta is
+    sigma^2 exactly.
     """
     if alpha is None:
         alpha = cfg.alpha
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be nonnegative and finite")
     sigma2 = cfg.sigma2
-    beta = sigma2
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        nxt = sigma2 + alpha * interference_integral(beta)
-        done = abs(nxt - beta) <= rtol * abs(nxt)
-        beta = nxt
-        if done:
-            break
-    residual = abs(beta - sigma2 - alpha * interference_integral(beta)) / beta
-    if residual >= 1e-10:
-        beta = _bisect_fixed_point(sigma2, alpha)
-        residual = abs(beta - sigma2 - alpha * interference_integral(beta)) / beta
+    g = lambda b: b - sigma2 - alpha * interference_integral(b)
+    beta, info = brentq(g, sigma2, sigma2 + alpha, xtol=sys.float_info.min,
+                        rtol=4 * sys.float_info.epsilon, full_output=True)
     return DecoupledChannel(beta=beta, gamma_bar=1.0 / beta, sigma2=sigma2,
-                            alpha=alpha, residual=residual, iterations=iterations)
+                            alpha=alpha, residual=abs(g(beta)) / beta,
+                            iterations=info.iterations)
 
 
 def post_detection_snr_pdf(gamma_bar):

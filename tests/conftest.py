@@ -26,11 +26,6 @@ def ref_model(ref_cfg, ref_channel):
     return cc.build_fsmc(ref_cfg, ref_channel)
 
 
-@pytest.fixture(scope="session")
-def ref_service(ref_model):
-    return cc.ServiceMgf(ref_model)
-
-
 def single_state_model(rate_blocks, t_b_s=2e-3):
     """Degenerate one-state server used for closed-form queueing checks."""
     return cc.FsmcModel(

@@ -3,9 +3,10 @@
 Each function recomputes a production quantity by a method that shares no
 code with the library: explicit window counting for the arrival MGF,
 exhaustive path enumeration for the service MGF, a dense ``logsumexp``
-matrix-vector recursion for the service MGF table, a per-theta
-bisection for the delay search, and a direct m x m solve for the
-finite-system SINR.
+matrix-vector recursion for the service MGF table, truncated sums with a
+geometric tail bound for the delay bound, bisection for the large-system
+fixed point, arbitrary precision for the interference integral's closed
+form, and a direct m x m solve for the finite-system SINR.
 """
 import math
 
@@ -28,7 +29,9 @@ def arrival_log_mgf_enumeration(delta, tau, theta, t):
             first = math.ceil(w / tau)
             last = math.floor((w + t - 1) / tau)
             counts.append(max(0, last - first + 1))
-    return float(logsumexp([theta * delta * n for n in counts]) - math.log(tau))
+    logs = [theta * delta * n for n in counts]
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs)) - math.log(tau)
 
 
 def service_log_mgf_enumeration(pi, p, rates, theta, t):
@@ -83,52 +86,66 @@ def service_log_mgf_table_logsumexp(pi, p, rates, thetas, horizon):
     return out
 
 
-def theta_stats_bisection(source, thetas, logms, log_eps, window=16):
-    """Per-theta delay search: (d, log_tail, decaying) per theta.
+def violation_bound_oracle(pi, p, rates, delta, tau, theta, d, horizon):
+    """(partial, upper) for sum_{s >= d} Ma(theta, s - d) Ms(theta, s), d >= 1.
 
-    The truncated sum ln F(tau_d) = logsumexp_s(ln Ma(s - tau_d) + ln Ms(s))
-    is evaluated directly and bisected on tau_d; the summand decays when its
-    largest step over the last ``window`` slots is negative (or it has
-    underflowed), and the tail is the geometric continuation of that step.
+    partial[i] is ln of the sum truncated at s = d + i, up to s = horizon,
+    from window counting and a dense logsumexp recursion; upper is ln of the
+    last partial sum plus a geometric bound on the rest, inf when no bound
+    is found.  The bound takes a positive vector v >= 1 near the Perron
+    vector of P D with rho' = max_i (P D v)_i / v_i, so that
+    Ms(theta, T + k) <= rho'^k (w_T . v), and Ma(theta, t) <= e^{a (t/tau + 1)}
+    with a = theta delta.
     """
-    t1 = logms.shape[1]
-    s = np.arange(t1)
-    d_out = np.full(len(thetas), np.inf)
-    tail_out = np.full(len(thetas), np.inf)
-    decaying = np.zeros(len(thetas), dtype=bool)
-    for i, theta in enumerate(thetas):
-        logma = source.log_mgf(theta, s)
-        row = logms[i]
+    with np.errstate(divide="ignore"):
+        log_pi, log_p = np.log(pi), np.log(p)
+    decay = theta * np.asarray(rates, dtype=float)
+    lw = log_pi - decay
+    terms = []
+    for s in range(1, horizon + 1):
+        if s > 1:
+            lw = np.logaddexp.reduce(lw[:, None] + log_p, axis=0) - decay
+        if s >= d:
+            terms.append(arrival_log_mgf_enumeration(delta, tau, theta, s - d)
+                         + np.logaddexp.reduce(lw))
+    partial = np.logaddexp.accumulate(terms)
 
-        def log_f(tau):
-            return logsumexp(logma[:t1 - tau] + row[tau:])
+    pd = p * np.exp(-decay)
+    vals, vecs = np.linalg.eig(pd)
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    if not v.min() > 0:
+        return partial, math.inf
+    v = v / v.min()
+    a = theta * delta
+    log_x = a / tau + math.log(float(np.max(pd @ v / v)))
+    if not log_x < 0:
+        return partial, math.inf
+    log_tail = (logsumexp(lw + np.log(v)) + a * (1 + (horizon - d) / tau)
+                + log_x - math.log(-math.expm1(log_x)))
+    return partial, float(np.logaddexp(partial[-1], log_tail))
 
-        k = min(window, t1 - 1)
-        v = logma + row
-        end = v[-1]
-        finished = math.isinf(end) and end < 0
-        slope = float(np.diff(v[-k - 1:]).max()) if not finished else -math.inf
-        if not finished and slope >= 0:
-            continue
-        decaying[i] = True
-        if log_f(t1 - 1) > log_eps:
-            continue
-        lo, hi = 0, t1 - 1                      # hi certified, lo maybe not
-        if log_f(0) <= log_eps:
-            hi = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if log_f(mid) <= log_eps:
-                hi = mid
-            else:
-                lo = mid
-        d_out[i] = hi
-        if finished:
-            tail_out[i] = -np.inf
+
+def fixed_point_bisection(sigma2, alpha, integral, iters=200):
+    """Root of b - sigma2 - alpha * integral(b) on [sigma2, sigma2 + alpha]
+    by plain bisection."""
+    lo, hi = sigma2, sigma2 + alpha
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid - sigma2 - alpha * integral(mid) < 0:
+            lo = mid
         else:
-            last = logma[t1 - 1 - hi] + row[-1]
-            tail_out[i] = last + slope - math.log1p(-math.exp(slope))
-    return d_out, tail_out, decaying
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def interference_integral_closed_form(beta, dps=40):
+    """Closed form beta * (1 - beta e^beta E1(beta)), via arbitrary precision
+    (E1 underflows and e^beta overflows in double precision for large beta)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        return float(b * (1 - b * mp.exp(b) * mp.e1(b)))
 
 
 def finite_sinr_direct(m, k, sigma2, n, seed):

@@ -11,11 +11,11 @@ import numpy as np
 from scipy import integrate
 
 import cdmacal as cc
-from cdmacal.largesys import (interference_integral,
-                              interference_integral_closed_form)
+from cdmacal.largesys import interference_integral
 
 from conftest import single_state_model
-from oracles import (arrival_log_mgf_enumeration, random_chain,
+from oracles import (arrival_log_mgf_enumeration,
+                     interference_integral_closed_form, random_chain,
                      service_log_mgf_enumeration)
 
 PUBLISHED_PI = {
@@ -78,12 +78,11 @@ def test_acceptance_3_finite_system_convergence():
             t0, 600.0)
 
 
-def test_acceptance_4_bound_holds_in_simulation(ref_cfg, ref_model, ref_service):
+def test_acceptance_4_bound_holds_in_simulation(ref_cfg, ref_model):
     t0 = time.perf_counter()
     eps = 1e-2
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=eps,
-                                          d_guarantee_slots=100,
-                                          service=ref_service)
+                                          d_guarantee_slots=100)
     d_bound = res.delay_at_lambda.d_slots
     src = cc.PeriodicSource(res.lambda_blocks)
     trace = cc.simulate_fifo_queue(ref_model, src, 1_000_000, seed=314159)
@@ -95,7 +94,7 @@ def test_acceptance_4_bound_holds_in_simulation(ref_cfg, ref_model, ref_service)
             f"P(delay>d) = {freq:.2e} <= {eps + 3 * se:.2e}", t0, 600.0)
 
 
-def test_acceptance_5_throughput_trends(ref_cfg, ref_model, ref_service):
+def test_acceptance_5_throughput_trends(ref_cfg, ref_model):
     t0 = time.perf_counter()
     eps, d_g = 1e-2, 100
     step_bps = ref_cfg.alpha * 1e-3 * ref_cfg.n_b_bits / ref_cfg.t_b_s
@@ -103,20 +102,19 @@ def test_acceptance_5_throughput_trends(ref_cfg, ref_model, ref_service):
     problems = []
     over_cap = []
 
-    def tput(cfg, model, service, *, eps=eps, d_g=d_g):
+    def tput(cfg, model, *, eps=eps, d_g=d_g):
         r = cc.delay_constrained_throughput(cfg, model, epsilon=eps,
-                                            d_guarantee_slots=d_g,
-                                            service=service)
+                                            d_guarantee_slots=d_g)
         if r.lambda_bps > r.c_lim_bps + 1e-6:
             over_cap.append((cfg.snr_avg_db, cfg.alpha, r.lambda_bps))
         return r.lambda_bps
 
     # (a) guarantee and violation-probability axes
-    lam_d = [tput(ref_cfg, ref_model, ref_service, d_g=d)
+    lam_d = [tput(ref_cfg, ref_model, d_g=d)
              for d in (20, 40, 60, 80, 100, 120, 140)]
     if any(b < a - slack for a, b in zip(lam_d, lam_d[1:])):
         problems.append(f"not monotone in guarantee: {lam_d}")
-    lam_e = [tput(ref_cfg, ref_model, ref_service, eps=e)
+    lam_e = [tput(ref_cfg, ref_model, eps=e)
              for e in (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)]
     if any(b < a - slack for a, b in zip(lam_e, lam_e[1:])):
         problems.append(f"not monotone in epsilon: {lam_e}")
@@ -126,7 +124,7 @@ def test_acceptance_5_throughput_trends(ref_cfg, ref_model, ref_service):
     for snr in (-2.0, 0.0, 2.0, 4.0, 6.0, 8.0):
         cfg = cc.SystemConfig(snr_avg_db=snr, alpha=0.5, f_m_hz=20.0)
         model = cc.build_fsmc(cfg, cc.solve_fixed_point(cfg))
-        lam_s.append(tput(cfg, model, cc.ServiceMgf(model)))
+        lam_s.append(tput(cfg, model))
     if any(b < a - slack for a, b in zip(lam_s, lam_s[1:])):
         problems.append(f"not monotone in SNR: {lam_s}")
 
@@ -139,7 +137,7 @@ def test_acceptance_5_throughput_trends(ref_cfg, ref_model, ref_service):
         for a in alphas:
             cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=float(a), f_m_hz=20.0)
             model = cc.build_fsmc(cfg, cc.solve_fixed_point(cfg))
-            out.append(tput(cfg, model, cc.ServiceMgf(model), d_g=d))
+            out.append(tput(cfg, model, d_g=d))
         return out
 
     def unimodal(vals, tol):
@@ -182,11 +180,10 @@ def test_acceptance_6_oracle_equivalence(ref_model):
                              rates_blocks=rates,
                              thresholds_linear=np.zeros(n), gamma_bar=1.0,
                              t_b_s=2e-3, f_m_hz=0.0)
-        svc = cc.ServiceMgf(model)
         t = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.05, 5.0))
         want = math.exp(service_log_mgf_enumeration(pi, p, rates, theta, t))
-        got = svc.mgf(theta, t)
+        got = math.exp(cc.service_log_mgf(model, theta, t))
         worst_service = max(worst_service, abs(got - want) / want)
 
     worst_integral = 0.0
@@ -213,7 +210,7 @@ def test_acceptance_6_oracle_equivalence(ref_model):
             " (tol 1e-12)", t0, 60.0)
 
 
-def test_acceptance_7_degenerate_identities(ref_model, ref_service):
+def test_acceptance_7_degenerate_identities(ref_model):
     t0 = time.perf_counter()
     problems = []
 

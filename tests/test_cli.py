@@ -54,6 +54,14 @@ def test_bad_config_file_exits_one(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_removed_flags_exit_one(capsys):
+    for flag in ("--horizon", "--theta-min", "--theta-max", "--theta-points"):
+        code = main(["solve", *POINT_ARGS, flag, "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "%s was removed" % flag in err and "exact" in err
+
+
 def test_missing_config_file_exits_one(capsys):
     code = main(["solve", "--config", "/nonexistent/path.cfg"])
     assert code == 1

@@ -7,6 +7,8 @@ import pytest
 import cdmacal as cc
 from cdmacal.experiment import CSV_COLUMNS, evaluate_point, metadata_lines
 
+from oracles import violation_bound_oracle
+
 BASE = """
 snr_avg_db = 6        # average received SNR
 alpha = 0.5
@@ -108,25 +110,31 @@ def test_spec_validation_bounds():
         cc.parse_config("snr_avg_db = 6\nalpha = 0.5\nf_m_hz = 20\nepsilon = 2\n")
     with pytest.raises(cc.ConfigError):
         cc.parse_config(BASE + "tau_slots = 0\n")
-    with pytest.raises(cc.ConfigError):
-        cc.parse_config(BASE + "theta_points = 1\n")
-    for bad in ("theta_max = inf\n", "theta_max = nan\n", "theta_min = nan\n"):
-        with pytest.raises(cc.ConfigError):
-            cc.parse_config(BASE + bad)
-    with pytest.raises(cc.ConfigError):
-        cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
-                       "theta_max": math.inf})
+    # keys of the former truncated bound are refused by name
+    for key in ("horizon_slots", "theta_min", "theta_max", "theta_points"):
+        with pytest.raises(cc.ConfigError, match=r"line \d+: '%s' was removed.*exact"
+                           % key):
+            cc.parse_config(BASE + "%s = 1\n" % key)
+        with pytest.raises(cc.ConfigError, match="'%s' was removed" % key):
+            cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
+                           key: 1})
 
 
-def test_single_point_run_row_contents():
+def test_single_point_run_row_contents(ref_model):
     spec = cc.parse_config(BASE)
     rows = cc.run_experiment(spec)
     assert len(rows) == 1
     row = rows[0]
     assert set(row) == set(CSV_COLUMNS)
     assert row["axis"] == "none"
-    assert row["throughput_blocks"] == pytest.approx(1.663, abs=5e-3)
+    assert row["throughput_blocks"] == pytest.approx(1.676, abs=5e-3)
     assert row["delay_bound_slots"] <= 100
+    # the oracle sum re-verifies the certificate (d, theta*) at that rate
+    lam, d = row["throughput_blocks"], int(row["delay_bound_slots"])
+    _, upper = violation_bound_oracle(ref_model.pi, ref_model.transition,
+                                      ref_model.rates_blocks, lam, 1,
+                                      row["theta_star"], d, 4000)
+    assert upper <= math.log(1e-2)
     assert row["bound_valid"] is True
     assert row["error"] == ""
     assert row["throughput_bps"] == pytest.approx(
@@ -184,9 +192,8 @@ def test_point_error_is_reported_not_raised():
 
 def test_evaluate_point_reuse_matches_fresh(ref_model):
     spec = cc.parse_config(BASE)
-    row1, model, service = evaluate_point(spec, None, seed_seq=1)
-    row2, _, _ = evaluate_point(spec, None, seed_seq=1, model=model,
-                                service=service)
+    row1, model = evaluate_point(spec, None, seed_seq=1)
+    row2, _ = evaluate_point(spec, None, seed_seq=1, model=model)
     assert row1 == row2
 
 

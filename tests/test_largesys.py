@@ -3,18 +3,19 @@
 The interference integral is validated three ways: plain Monte Carlo over
 the exponential weight, adaptive quadrature from scipy (a different
 algorithm on a different axis), and the special-function closed form.  The
-fixed point itself is checked against a bisection that never runs the
-production iteration.
+fixed point itself is checked against a plain bisection that never runs the
+production root finder.
 """
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate
 
 import cdmacal as cc
-from cdmacal.largesys import (interference_integral,
-                              interference_integral_closed_form)
+from cdmacal.largesys import interference_integral
+
+from oracles import fixed_point_bisection, interference_integral_closed_form
 
 # beta values frozen from the bisection oracle at (alpha, snr_db):
 # (0.5, 6), (0.5, -2), (0.5, 4)
@@ -77,8 +78,7 @@ def test_fixed_point_matches_independent_bisection():
     # with I from scipy quadrature only
     for alpha, snr in ((0.25, 0.0), (0.5, 6.0), (0.9, -3.0), (1.5, 10.0)):
         sigma2 = 10 ** (-snr / 10)
-        g = lambda b: b - sigma2 - alpha * _quad_integral(b)
-        ref = optimize.brentq(g, sigma2, sigma2 + alpha, xtol=1e-15, rtol=1e-15)
+        ref = fixed_point_bisection(sigma2, alpha, _quad_integral)
         cfg = cc.SystemConfig(snr_avg_db=snr, alpha=alpha, f_m_hz=20.0)
         assert cc.solve_fixed_point(cfg).beta == pytest.approx(ref, rel=1e-9)
 

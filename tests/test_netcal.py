@@ -2,9 +2,11 @@
 
 The arrival MGF is compared with explicit window counting, the service MGF
 with exhaustive path enumeration and a dense logsumexp recursion, the
-delay search with a per-theta bisection, and the delay bound with the geometric
-closed form available for a constant-rate server.  The throughput search
-is checked for its lattice certificate and its degenerate outcomes.
+closed-form violation bound with truncated sums and their geometric tail
+bound, and the delay bound with the geometric closed form available for a
+constant-rate server.  Every certificate the searches return is re-checked
+by the oracle sum, and the throughput search is checked for its lattice
+certificate and its degenerate outcomes.
 """
 import math
 
@@ -14,18 +16,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdmacal as cc
-from cdmacal.netcal import _theta_stats
 
 from conftest import single_state_model
 from oracles import (arrival_log_mgf_enumeration, random_chain,
                      service_log_mgf_enumeration,
-                     service_log_mgf_table_logsumexp, theta_stats_bisection)
+                     service_log_mgf_table_logsumexp, violation_bound_oracle)
+
+# the theta grid of the former truncated bound, kept as a yardstick
+GRID = np.geomspace(1e-4, 50.0, 60)
 
 
 def _chain_model(pi, p, rates):
     return cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
                         rates_blocks=rates, thresholds_linear=np.zeros(len(pi)),
                         gamma_bar=1.0, t_b_s=2e-3, f_m_hz=0.0)
+
+
+def _oracle(model, source, theta, d, horizon):
+    return violation_bound_oracle(model.pi, model.transition,
+                                  model.rates_blocks, source.delta_blocks,
+                                  source.tau_slots, theta, d, horizon)
+
+
+def _assert_certificate(model, source, bound):
+    """The oracle's upper bound on F at (d, theta*) meets epsilon; the
+    horizon doubles until it does or the oracle's tail is negligible."""
+    assert bound.valid and math.isfinite(bound.d_slots)
+    d = int(bound.d_slots)
+    horizon = d + 1000
+    for _ in range(8):
+        partial, upper = _oracle(model, source, bound.theta_star, d, horizon)
+        if upper <= math.log(bound.epsilon) or upper - partial[-1] < 1e-12:
+            break
+        horizon *= 2
+    assert upper <= math.log(bound.epsilon), (source, bound, upper)
+
+
+def _grid_delay(model, source, eps, theta):
+    """Smallest d with ln F_theta(d) <= ln eps at one fixed theta."""
+    f = lambda d: cc.log_violation_bound(source, model, theta, d)
+    if not f(1 << 20) <= math.log(eps):
+        return math.inf
+    lo, hi = 0, 1 << 20
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid >= 1 and f(mid) <= math.log(eps):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_arrival_mgf_matches_window_enumeration():
@@ -65,14 +104,12 @@ def test_service_mgf_matches_path_enumeration():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         pi, p, rates = random_chain(rng, n, sparse=bool(rng.random() < 0.4))
-        svc = cc.ServiceMgf(_chain_model(pi, p, rates))
+        model = _chain_model(pi, p, rates)
         t = int(rng.integers(1, 9))
         for theta in (0.1, 1.0, 7.3):
             want = service_log_mgf_enumeration(pi, p, rates, theta, t)
-            got = svc.log_mgf(theta, t)
+            got = cc.service_log_mgf(model, theta, t)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (n, t, theta)
-            assert svc.mgf(theta, t) == pytest.approx(
-                math.exp(want), rel=1e-11)
             checked += 1
     assert checked == 300
 
@@ -84,17 +121,21 @@ def _assert_table_close(got, want):
                   <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
 
 
+def _table(model, thetas, horizon):
+    return np.stack([cc.service_log_mgf(model, thetas, t)
+                     for t in range(horizon + 1)], axis=-1)
+
+
 def test_service_mgf_table_matches_logsumexp_recursion():
     rng = np.random.default_rng(77)
-    grid = cc.default_theta_grid()
     for trial in range(24):
         n = int(rng.integers(1, 9))
         pi, p, rates = random_chain(rng, n, max_rate=(3.0, 30.0)[trial % 2],
                                     sparse=trial % 3 == 1)
         if trial % 4 == 3:
             rates[0] = 0.0                          # force an outage state
-        got = cc.ServiceMgf(_chain_model(pi, p, rates)).table(grid, 300)
-        want = service_log_mgf_table_logsumexp(pi, p, rates, grid, 300)
+        got = _table(_chain_model(pi, p, rates), GRID, 300)
+        want = service_log_mgf_table_logsumexp(pi, p, rates, GRID, 300)
         _assert_table_close(got, want)
 
 
@@ -103,186 +144,211 @@ def test_service_mgf_table_keeps_mass_a_linear_recursion_underflows():
     # state, whose weight e^{-1500} underflows on the linear scale
     pi, p = np.array([1 / 3, 2 / 3]), np.array([[0.0, 1.0], [0.5, 0.5]])
     rates = np.array([0.0, 30.0])
-    got = cc.ServiceMgf(_chain_model(pi, p, rates)).table(50.0, 40)
+    got = _table(_chain_model(pi, p, rates), np.array([50.0]), 40)
     assert got[0, 2] == pytest.approx(-1500 + math.log(2 / 3), abs=1e-12)
     _assert_table_close(got, service_log_mgf_table_logsumexp(pi, p, rates,
                                                              [50.0], 40))
-    single = cc.ServiceMgf(single_state_model(20.0)).table(50.0, 300)[0]
+    single = _table(single_state_model(20.0), 50.0, 300)
     assert np.array_equal(single, -1000.0 * np.arange(301))
 
 
-def test_service_mgf_at_time_zero_is_one(ref_service):
-    assert ref_service.mgf(0.37, 0) == 1.0
-    assert ref_service.log_mgf(5.0, 0) == 0.0
+def test_service_mgf_at_time_zero_is_one(ref_model):
+    assert cc.service_log_mgf(ref_model, 0.37, 0) == 0.0
+    assert cc.service_log_mgf(ref_model, 5.0, 0) == 0.0
 
 
-def test_service_mgf_decreasing_in_theta(ref_service):
+def test_service_mgf_decreasing_in_theta(ref_model):
     # e^{-theta S} shrinks pointwise in theta for nonnegative service
-    vals = [ref_service.log_mgf(th, 40) for th in (0.01, 0.1, 1.0, 10.0)]
+    vals = [cc.service_log_mgf(ref_model, th, 40) for th in (0.01, 0.1, 1.0, 10.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_service_mgf_table_cache_consistent(ref_model):
-    svc = cc.ServiceMgf(ref_model)
-    thetas = np.array([0.05, 0.7])
-    short = svc.table(thetas, 16)
-    full = svc.table(thetas, 64)
-    assert np.array_equal(short, full[:, :17])
-    fresh = cc.ServiceMgf(ref_model).table(thetas, 64)
-    assert np.array_equal(full, fresh)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       sparse=st.booleans(), tau=st.integers(1, 7), load=st.floats(0.0, 1.5),
+       log_theta=st.floats(-6.0, 2.0), d=st.integers(1, 40))
+def test_exact_bound_matches_truncated_oracle(seed, n, sparse, tau, load,
+                                              log_theta, d):
+    rng = np.random.default_rng(seed)
+    pi, p, rates = random_chain(rng, n, sparse=sparse)
+    model = _chain_model(pi, p, rates)
+    src = cc.PeriodicSource(load * tau * max(float(pi @ rates), 0.1), tau)
+    theta = math.exp(log_theta)
+    got = cc.log_violation_bound(src, model, theta, d)
+    rho = np.abs(np.linalg.eigvals(p * np.exp(-theta * rates))).max()
+    if not theta * src.delta_blocks + tau * math.log(rho) < 0:
+        assert got == math.inf               # outside the stable set
+        return
+    partial, upper = _oracle(model, src, theta, d, d + 300 * tau)
+    # never below a truncated sum, never above the oracle's upper bound
+    assert np.all(got >= partial - 1e-12 * max(1.0, abs(got)))
+    assert got <= upper + 1e-12 * max(1.0, abs(got))
+    if upper - partial[-1] <= 1e-12:        # the oracle's tail is negligible
+        assert abs(got - partial[-1]) <= 1e-9
 
 
 def test_constant_rate_server_meets_guarantee_in_one_slot():
-    # single state at rate r, arrivals delta < r: the truncated sum is
-    # geometric, F(tau) = e^{-theta r tau} / (1 - e^{theta(delta - r)}),
-    # so any tau >= 1 works at large theta and the optimum sits at the
-    # top of the grid
-    svc = cc.ServiceMgf(single_state_model(6.0))
-    grid = cc.default_theta_grid()
-    res = cc.delay_bound(cc.PeriodicSource(3.0), svc, 1e-2, theta_grid=grid,
-                         refine=0)
+    # single state at rate r, arrivals delta < r: the sum is geometric,
+    # F(tau) = e^{-theta r tau} / (1 - e^{theta(delta - r)}), which falls
+    # without bound as theta grows, so one slot always suffices
+    res = cc.delay_bound(cc.PeriodicSource(3.0), single_state_model(6.0), 1e-2)
     assert res.d_slots == 1.0
-    assert res.theta_star == grid.max()
     assert res.valid and not res.unstable
+    th = res.theta_star
+    assert -6.0 * th - math.log1p(-math.exp(-3.0 * th)) <= math.log(1e-2)
 
 
-@pytest.mark.parametrize("delta,rate,eps,hi", [
-    (1.0, 2.0, 1e-3, 50.0),     # plenty of exponent headroom: d = 1
-    (1.0, 2.0, 1e-3, 2.0),      # grid capped low so several slots are needed
+@pytest.mark.parametrize("delta,rate,eps,theta", [
+    (1.0, 2.0, 1e-3, 50.0),
+    (1.0, 2.0, 1e-3, 2.0),
     (1.0, 2.0, 1e-5, 2.0),
     (1.5, 2.0, 1e-4, 0.8),
 ])
-def test_constant_rate_server_matches_geometric_closed_form(delta, rate, eps, hi):
-    svc = cc.ServiceMgf(single_state_model(rate))
-    grid = cc.default_theta_grid(hi=hi)
+def test_constant_rate_server_matches_geometric_closed_form(delta, rate, eps, theta):
+    model = single_state_model(rate)
+    src = cc.PeriodicSource(delta)
+    for tau in (1, 2, 7, 100):
+        want = -theta * rate * tau - math.log1p(-math.exp(theta * (delta - rate)))
+        got = cc.log_violation_bound(src, model, theta, tau)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), tau
+    res = cc.delay_bound(src, model, eps)
+    assert res.d_slots == 1.0
+    th = res.theta_star
+    assert (-th * rate - math.log1p(-math.exp(th * (delta - rate)))
+            <= math.log(eps))
 
-    def closed_form_d(theta):
-        ratio = math.exp(theta * (delta - rate))
-        tau = (-math.log(eps) - math.log1p(-ratio)) / (theta * rate)
-        return max(1, math.ceil(tau - 1e-12))
 
-    want = min(closed_form_d(th) for th in grid)
-    res = cc.delay_bound(cc.PeriodicSource(delta), svc, eps, theta_grid=grid,
-                         refine=0, horizon_slots=4000)
-    assert res.d_slots == want
-
-
-def test_zero_arrivals_reduce_to_service_suffix_sums(ref_model, ref_service):
+def test_zero_arrivals_reduce_to_service_suffix_sums(ref_model):
     eps = 1e-2
-    horizon = 512
-    grid = cc.default_theta_grid()
-    res = cc.delay_bound(cc.PeriodicSource(0.0), ref_service, eps,
-                         horizon_slots=horizon, theta_grid=grid, refine=0)
-    table = ref_service.table(grid, horizon)
+    src = cc.PeriodicSource(0.0)
+    for theta in (1e-3, 0.05, 1.0, 30.0):
+        partial, upper = _oracle(ref_model, src, theta, 10, 2000)
+        got = cc.log_violation_bound(src, ref_model, theta, 10)
+        assert partial[-1] - 1e-12 <= got <= upper + 1e-12
+    table = service_log_mgf_table_logsumexp(
+        ref_model.pi, ref_model.transition, ref_model.rates_blocks, GRID, 512)
     best = math.inf
     for row in table:
         suffix = np.logaddexp.accumulate(row[::-1])[::-1]
         hit = np.nonzero(suffix <= math.log(eps))[0]
         if hit.size:
             best = min(best, int(hit[0]))
-    assert res.d_slots == best
+    res = cc.delay_bound(src, ref_model, eps)
+    assert 1 <= res.d_slots <= best
+    _assert_certificate(ref_model, src, res)
 
 
-def test_delay_bound_monotone_in_epsilon(ref_service):
+def test_delay_bound_monotone_in_epsilon(ref_model):
     src = cc.PeriodicSource(1.5)
-    ds = [cc.delay_bound(src, ref_service, e).d_slots
+    ds = [cc.delay_bound(src, ref_model, e).d_slots
           for e in (1e-4, 1e-3, 1e-2, 1e-1)]
     assert all(b <= a for a, b in zip(ds, ds[1:]))
 
 
-def test_delay_bound_monotone_in_arrival_rate(ref_service):
-    ds = [cc.delay_bound(cc.PeriodicSource(d), ref_service, 1e-2).d_slots
+def test_delay_bound_monotone_in_arrival_rate(ref_model):
+    ds = [cc.delay_bound(cc.PeriodicSource(d), ref_model, 1e-2).d_slots
           for d in (0.5, 1.0, 2.0, 3.0, 4.0)]
     assert all(b >= a for a, b in zip(ds, ds[1:]))
 
 
 def test_delay_bound_improves_with_faster_server(ref_model):
     src = cc.PeriodicSource(1.5)
-    base = cc.delay_bound(src, cc.ServiceMgf(ref_model), 1e-2)
+    base = cc.delay_bound(src, ref_model, 1e-2)
     import dataclasses
     faster = dataclasses.replace(ref_model, rates_blocks=ref_model.rates_blocks * 2)
-    quick = cc.delay_bound(src, cc.ServiceMgf(faster), 1e-2)
+    quick = cc.delay_bound(src, faster, 1e-2)
     assert quick.d_slots <= base.d_slots
 
 
-def test_theta_stats_matches_bisection_oracle(ref_model, ref_service):
-    grid = cc.default_theta_grid(points=25)
-    logms = ref_service.table(grid, 601)
+def test_delay_bound_matches_oracle_sums(ref_model):
+    # d is certified at theta* by the oracle's upper bound, and d - 1 is
+    # refused at every grid theta: unstable there, or ln F above ln eps
+    # with the value itself bracketed by the oracle
     mean_rate = float(ref_model.pi @ ref_model.rates_blocks)
     checked = 0
     for tau in (1, 2, 3, 5, 7):
-        for load in (0.3, 0.9, 1.2):                 # 1.2: overloaded
+        for load in (0.3, 0.6, 1.2):                 # 1.2: overloaded
             src = cc.PeriodicSource(load * mean_rate * tau, tau_slots=tau)
-            # 601, 602 and 98 slots: multiples of some periods, not of others
-            for horizon in (600, 601, 97):
-                for eps in (1e-1, 1e-2, 1e-4):
-                    log_eps = math.log(eps)
-                    rows = logms[:, :horizon + 1]
-                    d, lt, dec = _theta_stats(src, grid, rows, log_eps)
-                    d_o, lt_o, dec_o = theta_stats_bisection(src, grid, rows,
-                                                             log_eps)
-                    assert np.array_equal(dec, dec_o), (tau, load, horizon, eps)
-                    assert np.array_equal(d, d_o), (tau, load, horizon, eps)
-                    both = np.isfinite(d)
-                    assert np.allclose(lt[both], lt_o[both], rtol=1e-9,
-                                       atol=0), (tau, load, horizon, eps)
-                    checked += int(both.sum())
-    assert checked > 200
+            for eps in (1e-1, 1e-2, 1e-4):
+                res = cc.delay_bound(src, ref_model, eps)
+                if load > 1:
+                    assert res.unstable and not res.valid
+                    continue
+                _assert_certificate(ref_model, src, res)
+                d = int(res.d_slots)
+                for theta in GRID[::3] if d > 1 else ():
+                    got = cc.log_violation_bound(src, ref_model, theta, d - 1)
+                    assert got > math.log(eps), (tau, load, eps, theta)
+                    partial, upper = _oracle(ref_model, src, theta, d - 1,
+                                             d + 20 * tau)
+                    assert partial[-1] <= got + 1e-12 * abs(got)
+                    assert got <= upper + 1e-12 * abs(got)
+                checked += 1
+    assert checked == 30
 
 
-def test_longer_period_bursts_delay_more(ref_service):
+def test_longer_period_bursts_delay_more(ref_model):
     # same mean rate, burstier release: the bound cannot improve
-    d1 = cc.delay_bound(cc.PeriodicSource(1.2, 1), ref_service, 1e-2).d_slots
-    d4 = cc.delay_bound(cc.PeriodicSource(4.8, 4), ref_service, 1e-2).d_slots
+    d1 = cc.delay_bound(cc.PeriodicSource(1.2, 1), ref_model, 1e-2).d_slots
+    d4 = cc.delay_bound(cc.PeriodicSource(4.8, 4), ref_model, 1e-2).d_slots
     assert d4 >= d1
 
 
-def test_denser_theta_grid_never_hurts(ref_service):
+def test_denser_theta_grid_never_hurts(ref_model):
+    # the delay each grid theta certifies on its own, from the exact sum:
+    # a superset grid does no worse, and the exact theta* beats every grid
     src = cc.PeriodicSource(2.0)
-    coarse = cc.default_theta_grid(points=20)
-    dense = cc.default_theta_grid(points=39)      # superset of the coarse grid
-    assert np.allclose(dense[::2], coarse, rtol=1e-12)
-    d_coarse = cc.delay_bound(src, ref_service, 1e-2, theta_grid=coarse,
-                              refine=0).d_slots
-    d_dense = cc.delay_bound(src, ref_service, 1e-2, theta_grid=dense,
-                             refine=0).d_slots
-    assert d_dense <= d_coarse
-    refined = cc.delay_bound(src, ref_service, 1e-2, theta_grid=coarse,
-                             refine=2).d_slots
-    assert refined <= d_coarse
+    coarse, dense = GRID[::6], GRID[::3]
+    assert set(coarse) <= set(dense)
+    d_coarse = min(_grid_delay(ref_model, src, 1e-2, th) for th in coarse)
+    d_dense = min(_grid_delay(ref_model, src, 1e-2, th) for th in dense)
+    d_full = min(_grid_delay(ref_model, src, 1e-2, th) for th in GRID)
+    res = cc.delay_bound(src, ref_model, 1e-2)
+    assert res.d_slots <= d_full <= d_dense <= d_coarse < math.inf
+    _assert_certificate(ref_model, src, res)
 
 
-def test_overloaded_source_flagged_unstable(ref_model, ref_service):
+def test_overloaded_source_flagged_unstable(ref_model):
     mean_rate = float(ref_model.pi @ ref_model.rates_blocks)
-    res = cc.delay_bound(cc.PeriodicSource(mean_rate * 1.2), ref_service, 1e-2)
+    res = cc.delay_bound(cc.PeriodicSource(mean_rate * 1.2), ref_model, 1e-2)
     assert math.isinf(res.d_slots)
     assert res.unstable
     assert not res.valid
     assert math.isnan(res.theta_star)
+    at_mean = cc.delay_bound(cc.PeriodicSource(mean_rate), ref_model, 1e-2)
+    assert at_mean.unstable
 
 
-def test_short_horizon_gives_inf_but_not_unstable(ref_service):
-    # stable load that simply needs more than 24 slots to certify
-    res = cc.delay_bound(cc.PeriodicSource(4.0), ref_service, 1e-4,
-                         horizon_slots=24)
-    assert math.isinf(res.d_slots)
-    assert not res.unstable
-    assert not res.valid
+def test_slow_stable_load_is_certified_not_unstable(ref_model):
+    # stable loads that need many slots get a finite certificate, however
+    # close to the mean service rate they are
+    mean_rate = float(ref_model.pi @ ref_model.rates_blocks)
+    for delta, eps in ((0.99 * mean_rate, 1e-2), (4.0, 1e-4)):
+        src = cc.PeriodicSource(delta)
+        res = cc.delay_bound(src, ref_model, eps)
+        assert 24 < res.d_slots < math.inf
+        assert res.valid and not res.unstable
+        assert cc.log_violation_bound(src, ref_model, res.theta_star,
+                                      int(res.d_slots)) <= math.log(eps)
+    _assert_certificate(ref_model, src, res)
 
 
-def test_delay_bound_input_validation(ref_service):
+def test_delay_bound_input_validation(ref_model):
     src = cc.PeriodicSource(1.0)
     with pytest.raises(ValueError):
-        cc.delay_bound(src, ref_service, 0.0)
+        cc.delay_bound(src, ref_model, 0.0)
     with pytest.raises(ValueError):
-        cc.delay_bound(src, ref_service, 1.0)
-    with pytest.raises(ValueError):
-        cc.delay_bound(src, ref_service, 1e-2, theta_grid=[0.0, 1.0])
-    for bad in ([0.1, math.nan], [0.1, math.inf]):
+        cc.delay_bound(src, ref_model, 1.0)
+    for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            cc.delay_bound(src, ref_service, 1e-2, theta_grid=bad)
+            cc.log_violation_bound(src, ref_model, bad, 10)
+        with pytest.raises(ValueError):
+            cc.service_log_mgf(ref_model, bad, 10)
+    for bad in (0, 2.5, -1):
+        with pytest.raises(ValueError):
+            cc.log_violation_bound(src, ref_model, 0.1, bad)
     with pytest.raises(ValueError):
-        cc.delay_bound(src, ref_service, 1e-2, refine=1, refine_points=1)
+        cc.service_log_mgf(ref_model, 0.1, -1)
     with pytest.raises(ValueError):
         cc.PeriodicSource(-1.0)
     with pytest.raises(ValueError):
@@ -295,34 +361,47 @@ def test_capacity_limit_is_the_weighted_rate_sum(ref_cfg, ref_model):
     assert cc.capacity_limit(ref_cfg, ref_model) == pytest.approx(want, rel=1e-15)
 
 
-def test_throughput_search_returns_lattice_certificate(ref_cfg, ref_model,
-                                                       ref_service):
+def test_throughput_search_returns_lattice_certificate(ref_cfg, ref_model):
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
-                                          d_guarantee_slots=100,
-                                          service=ref_service)
+                                          d_guarantee_slots=100)
     assert not res.infeasible and not res.capped
     k = res.lambda_blocks / res.resolution_blocks
     assert k == pytest.approx(round(k), abs=1e-9)
     assert res.delay_at_lambda.d_slots <= 100
-    assert res.delay_at_lambda.valid
+    _assert_certificate(ref_model, cc.PeriodicSource(res.lambda_blocks),
+                        res.delay_at_lambda)
     assert res.delay_above.d_slots > 100
     assert res.lambda_bps == pytest.approx(
         ref_cfg.alpha * res.lambda_blocks * ref_cfg.n_b_bits / ref_cfg.t_b_s)
     assert res.lambda_bps < res.c_lim_bps
 
 
-def test_throughput_grows_with_looser_guarantee(ref_cfg, ref_model, ref_service):
-    lam = [cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
-                                           d_guarantee_slots=d,
-                                           service=ref_service).lambda_blocks
-           for d in (40, 100, 200)]
+def test_throughput_grows_with_looser_guarantee(ref_cfg, ref_model):
+    lam = []
+    for d in (40, 100, 200):
+        res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+                                              d_guarantee_slots=d)
+        _assert_certificate(ref_model, cc.PeriodicSource(res.lambda_blocks),
+                            res.delay_at_lambda)
+        lam.append(res.lambda_blocks)
     assert lam[0] <= lam[1] <= lam[2]
 
 
-def test_zero_guarantee_is_infeasible(ref_cfg, ref_model, ref_service):
+def test_bursty_source_certifies_the_exact_rate(ref_cfg, ref_model):
+    # tau 5 at the reference point: the exact sum certifies 1.673 blocks
+    # per slot within 100 slots
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
-                                          d_guarantee_slots=0,
-                                          service=ref_service)
+                                          d_guarantee_slots=100, tau_slots=5)
+    assert res.lambda_blocks >= 1.673 - 1e-9
+    assert res.delay_at_lambda.d_slots <= 100
+    _assert_certificate(ref_model, cc.PeriodicSource(5 * res.lambda_blocks, 5),
+                        res.delay_at_lambda)
+    assert res.delay_above.d_slots > 100
+
+
+def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
+    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+                                          d_guarantee_slots=0)
     assert res.infeasible
     assert res.lambda_blocks == 0.0
     assert res.delay_above is not None
@@ -339,8 +418,7 @@ def test_all_outage_channel_carries_nothing(ref_cfg):
 
 def test_deterministic_server_saturates_to_its_rate(ref_cfg):
     # the search stops at the service rate or one lattice step below it:
-    # above delta = rate the infinite-horizon sum diverges and the point
-    # is rejected even though the truncated sum is tiny
+    # at and above delta = rate the sum diverges and the point is rejected
     model = single_state_model(6.0)
     res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
                                           d_guarantee_slots=50)
@@ -348,13 +426,15 @@ def test_deterministic_server_saturates_to_its_rate(ref_cfg):
     assert 6.0 - 2.5 * res.resolution_blocks <= res.lambda_blocks <= 6.0 + 1e-9
 
 
-def test_throughput_input_validation(ref_cfg, ref_model, ref_service):
+def test_throughput_input_validation(ref_cfg, ref_model):
     with pytest.raises(ValueError):
         cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
-                                        d_guarantee_slots=-1,
-                                        service=ref_service)
+                                        d_guarantee_slots=-1)
     with pytest.raises(ValueError):
         cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                         d_guarantee_slots=10,
-                                        resolution_blocks=0.0,
-                                        service=ref_service)
+                                        resolution_blocks=0.0)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=eps,
+                                            d_guarantee_slots=10)
