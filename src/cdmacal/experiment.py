@@ -43,8 +43,8 @@ class NetcalControls:
     tau_slots: int = 1
 
     def __post_init__(self):
-        if not self.resolution_blocks > 0:
-            raise ValueError("resolution_blocks must be positive")
+        if not 0 < self.resolution_blocks < math.inf:
+            raise ValueError("resolution_blocks must be positive and finite")
         if self.tau_slots < 1:
             raise ValueError("tau_slots must be a positive integer")
 
@@ -73,10 +73,7 @@ class ExperimentSpec:
     output: str = ""
 
     def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.d_guarantee_slots < 0:
-            raise ValueError("d_guarantee_slots must be nonnegative")
+        _check_point(self.epsilon, self.d_guarantee_slots)
         if self.sweep_axis:
             if self.sweep_axis not in SWEEP_AXES:
                 raise ValueError("sweep_axis must be one of %s" % (SWEEP_AXES,))
@@ -87,6 +84,14 @@ class ExperimentSpec:
                 raise ValueError("sweep_step must be positive")
             if self.sweep_stop < self.sweep_start:
                 raise ValueError("sweep_stop must not precede sweep_start")
+            # _point_inputs rebuilds the SystemConfig for a system axis,
+            # which validates the value.
+            for value in self.sweep_values():
+                try:
+                    _check_point(*_point_inputs(self, value)[1:])
+                except ValueError as exc:
+                    raise ValueError("sweep %s = %s: %s"
+                                     % (self.sweep_axis, _fmt(value), exc)) from exc
         if self.validate_slots < 1:
             raise ValueError("validate_slots must be positive")
 
@@ -100,6 +105,13 @@ class ExperimentSpec:
         if self.sweep_axis == "delay_guarantee":
             return [int(round(v)) for v in vals]
         return [float(v) for v in vals]
+
+
+def _check_point(epsilon, d_guarantee_slots):
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if d_guarantee_slots < 0:
+        raise ValueError("d_guarantee_slots must be nonnegative")
 
 
 _FLOAT_KEYS = {

@@ -6,11 +6,13 @@ exhaustive path enumeration for the service MGF, a dense ``logsumexp``
 matrix-vector recursion for the service MGF table, truncated sums with a
 geometric tail bound for the delay bound, bisection for the large-system
 fixed point, arbitrary precision for the interference integral's closed
-form, and a direct m x m solve for the finite-system SINR.
+form, a direct m x m solve for the finite-system SINR, and one-dimensional
+adaptive quadrature of the PAM sums for the constellation capacity.
 """
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy.special import logsumexp
 
 
@@ -161,3 +163,40 @@ def finite_sinr_direct(m, k, sigma2, n, seed):
     s1 = s[:, :, 0]
     x = np.linalg.solve(cov, s1[:, :, None])[:, :, 0]
     return p[:, 0] * np.real(np.sum(s1.conj() * x, axis=1)), p[:, 0]
+
+
+def pam_capacity_quadrature(levels, gamma):
+    """Capacity (bits/symbol) of equiprobable real levels on the complex AWGN
+    channel with unit noise variance at SNR gamma, by one ``integrate.quad``
+    per level over the real noise component u, density exp(-u^2)/sqrt(pi):
+
+        C = log2 M - (1/M) sum_b E_u[ log2 sum_b' exp(-d^2 - 2 u d) ],
+        d = sqrt(gamma) (b - b').
+    """
+    levels = np.asarray(levels, dtype=float)
+    s = math.sqrt(gamma)
+    total = 0.0
+    for b in levels:
+        d = s * (b - levels)
+
+        def f(u):
+            return (math.exp(-u * u) / math.sqrt(math.pi)
+                    * np.logaddexp.reduce(-d * d - 2 * u * d))
+
+        val, err = integrate.quad(f, -np.inf, np.inf, limit=400,
+                                  epsabs=1e-12, epsrel=1e-11)
+        assert err < 1e-9
+        total += val
+    return math.log2(len(levels)) - total / (len(levels) * math.log(2))
+
+
+def constellation_capacity_quadrature(name, gamma):
+    """Capacity of a named constellation (bpsk, qpsk, 16-qam, 64-qam) in
+    bps/Hz.  BPSK is 2-PAM; a unit-energy square QAM is two unit-energy PAMs
+    at half the SNR each, so C_QAM(gamma) = 2 C_PAM(gamma / 2) exactly."""
+    side = {"bpsk": 2, "qpsk": 2, "16-qam": 4, "64-qam": 8}[name]
+    levels = np.arange(-(side - 1), side, 2, dtype=float)
+    levels /= math.sqrt(np.mean(levels ** 2))
+    if name == "bpsk":
+        return pam_capacity_quadrature(levels, gamma)
+    return 2.0 * pam_capacity_quadrature(levels, gamma / 2.0)

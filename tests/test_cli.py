@@ -60,6 +60,23 @@ def test_removed_flags_exit_one(capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert "%s was removed" % flag in err and "exact" in err
+    code = main(["thresholds", "--target-se", "0.005"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--target-se was removed" in err and "exact" in err
+
+
+def test_sweep_values_out_of_range_exit_one(capsys):
+    for axis, start, stop, step, bad in (
+            ("epsilon", "0", "0.1", "0.05", "epsilon = 0"),
+            ("delay_guarantee", "-20", "20", "20", "delay_guarantee = -20"),
+            ("alpha", "-0.5", "0.5", "0.5", "alpha = -0.5")):
+        code = main(["sweep", *POINT_ARGS, "--sweep-axis", axis,
+                     "--sweep-start", start, "--sweep-stop", stop,
+                     "--sweep-step", step])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and bad in err
 
 
 def test_missing_config_file_exits_one(capsys):
@@ -109,17 +126,25 @@ def test_validate_verb_populates_sim_columns(tmp_path):
 
 def test_thresholds_verb(tmp_path):
     out = tmp_path / "thr.csv"
-    code = main(["thresholds", "--target-se", "0.02", "--tol-db", "0.5",
-                 "--seed", "1009", "--output", str(out)])
+    code = main(["thresholds", "--tol-db", "0.5", "--seed", "1009",
+                 "--output", str(out)])
     assert code == 0
     lines = [l for l in _read(out).splitlines() if not l.startswith("#")]
-    assert lines[0].startswith("mode,label,")
+    assert lines[0] == ("mode,label,rate_bits_per_symbol,table_threshold_db,"
+                        "estimated_threshold_db,error_db,solvable,within_tol")
     assert len(lines) == 7                # header + six nonzero-rate modes
     assert all(l.split(",")[-1] == "true" for l in lines[1:])
+    # exact quadrature: the seed has no effect and reruns are byte-identical
+    again = tmp_path / "thr2.csv"
+    assert main(["thresholds", "--tol-db", "0.5", "--seed", "7",
+                 "--output", str(again)]) == 0
+    assert _read(again) == _read(out)
+    # a tolerance no mode can meet is refused, not reported as a mismatch
+    assert main(["thresholds", "--tol-db", "-1"]) == 1
 
 
 def test_thresholds_strict_passes(tmp_path):
-    code = main(["thresholds", "--target-se", "0.02", "--tol-db", "1.0",
+    code = main(["thresholds", "--tol-db", "1.0",
                  "--strict", "--output", str(tmp_path / "t.csv")])
     assert code == 0
 

@@ -103,6 +103,13 @@ def test_sweep_validation():
                         "sweep_stop = 1e-2\nsweep_step = -1\n")
     with pytest.raises(cc.ConfigError, match="required"):
         cc.parse_config(BASE + "sweep_axis = epsilon\nsweep_start = 1e-3\n")
+    # every sweep value passes the per-point checks before any point runs
+    with pytest.raises(cc.ConfigError, match="sweep f_m_hz = -10: f_m_hz"):
+        cc.parse_config(BASE + "sweep_axis = f_m_hz\nsweep_start = -10\n"
+                        "sweep_stop = 10\nsweep_step = 10\n")
+    with pytest.raises(cc.ConfigError, match="sweep epsilon = 1: epsilon"):
+        cc.parse_config(BASE + "sweep_axis = epsilon\nsweep_start = 0.5\n"
+                        "sweep_stop = 1\nsweep_step = 0.5\n")
 
 
 def test_spec_validation_bounds():
@@ -110,6 +117,9 @@ def test_spec_validation_bounds():
         cc.parse_config("snr_avg_db = 6\nalpha = 0.5\nf_m_hz = 20\nepsilon = 2\n")
     with pytest.raises(cc.ConfigError):
         cc.parse_config(BASE + "tau_slots = 0\n")
+    for res in ("0", "-1e-3", "inf", "nan"):
+        with pytest.raises(cc.ConfigError, match="resolution_blocks"):
+            cc.parse_config(BASE + "resolution_blocks = %s\n" % res)
     # keys of the former truncated bound are refused by name
     for key in ("horizon_slots", "theta_min", "theta_max", "theta_points"):
         with pytest.raises(cc.ConfigError, match=r"line \d+: '%s' was removed.*exact"
