@@ -52,14 +52,14 @@ def _add_common(p):
 _OVERRIDE_KEYS = (
     "snr_avg_db", "alpha", "f_m_hz", "t_b_s", "w_hz", "n_b_bits", "epsilon",
     "d_guarantee_slots", "resolution_blocks", "tau_slots", "validate_slots",
-    "seed", "output",
+    "seed", "output", "sweep_axis", "sweep_start", "sweep_stop", "sweep_step",
 )
 
 
-def _build_spec(args, extra=None):
+def _build_spec(args):
+    # only sweep has the sweep_* options; None marks a key left unset
     overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-    if extra:
-        overrides.update(extra)
+    overrides.update(args.extra)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -89,37 +89,15 @@ def _strict_bad(row):
     return False
 
 
-def _run_points(args, extra):
-    spec = _build_spec(args, extra)
-    rows = run_experiment(spec, workers=args.workers)
-    _emit(spec, rows, args)
-    if args.strict and any(_strict_bad(r) for r in rows):
-        return 2
-    return 0
-
-
-def _cmd_solve(args):
-    return _run_points(args, {"sweep_axis": ""})
-
-
-def _cmd_sweep(args):
-    extra = {}
-    for name in ("sweep_axis", "sweep_start", "sweep_stop", "sweep_step"):
-        val = getattr(args, name)
-        if val is not None:
-            extra[name] = val
-    spec = _build_spec(args, extra)
-    if not spec.sweep_axis:
+def _run_points(args):
+    spec = _build_spec(args)
+    if args.verb == "sweep" and not spec.sweep_axis:
         raise ConfigError("sweep requires sweep_axis (config key or --sweep-axis)")
     rows = run_experiment(spec, workers=args.workers)
     _emit(spec, rows, args)
     if args.strict and any(_strict_bad(r) for r in rows):
         return 2
     return 0
-
-
-def _cmd_validate(args):
-    return _run_points(args, {"sweep_axis": "", "validate": True})
 
 
 def _cmd_thresholds(args):
@@ -160,7 +138,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="compute one throughput point")
     _add_common(p)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_run_points, extra={"sweep_axis": ""})
 
     p = sub.add_parser("sweep", help="compute throughput along one axis")
     _add_common(p)
@@ -168,12 +146,12 @@ def build_parser():
     p.add_argument("--sweep-start", type=float, dest="sweep_start")
     p.add_argument("--sweep-stop", type=float, dest="sweep_stop")
     p.add_argument("--sweep-step", type=float, dest="sweep_step")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_run_points, extra={})
 
     p = sub.add_parser("validate",
                        help="solve one point and check it by simulation")
     _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_run_points, extra={"sweep_axis": "", "validate": True})
 
     p = sub.add_parser("thresholds",
                        help="check mode thresholds against the capacity")

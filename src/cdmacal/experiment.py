@@ -94,6 +94,8 @@ class ExperimentSpec:
                                      % (self.sweep_axis, _fmt(value), exc)) from exc
         if self.validate_slots < 1:
             raise ValueError("validate_slots must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def sweep_values(self):
         """The axis values this run covers; a single None for a point run."""
@@ -270,7 +272,7 @@ def evaluate_point(spec, value, seed_seq=None, model=None):
     row["bound_valid"] = bound.valid
     row["bound_unstable"] = bound.unstable
     row["infeasible"] = result.infeasible
-    row["capped"] = result.capped
+    row["capped"] = False       # no search cap; kept as perfbench/workloads.py reads it
     if spec.validate and result.lambda_blocks > 0:
         d_check = bound.d_slots if math.isfinite(bound.d_slots) else d_g
         src = PeriodicSource(result.lambda_blocks * ctl.tau_slots,
@@ -293,12 +295,17 @@ def _worker(args):
 
 
 def run_experiment(spec, workers=1):
-    """Evaluate every sweep point; returns the list of CSV row dicts."""
+    """Evaluate every sweep point; returns the list of CSV row dicts.
+
+    At most one worker process per point is started.
+    """
+    if workers < 1:
+        raise ConfigError("workers must be at least 1, got %r" % (workers,))
     values = spec.sweep_values()
     children = np.random.SeedSequence(spec.seed).spawn(len(values))
     if workers > 1 and len(values) > 1:
         payloads = [(spec, v, c) for v, c in zip(values, children)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(values))) as pool:
             return list(pool.map(_worker, payloads))
     rows = []
     model = None

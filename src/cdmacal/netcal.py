@@ -40,10 +40,12 @@ by doubling and bisection because F is non-increasing in tau_d.
 
 Throughput is the largest sustainable arrival rate, found by integer
 bisection on a lattice of spacing ``resolution_blocks``: the reported rate
-lambda satisfies the guarantee while lambda + resolution does not (or the
-search cap was hit, which is flagged).
+lambda satisfies the guarantee while lambda + resolution does not.  Both
+searches go through one integer search for the first n where a monotone
+predicate holds.
 """
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -231,6 +233,41 @@ class DelayBoundResult:
     unstable: bool              # the stable set is empty
 
 
+def _first_true(holds, lo, hi=None):
+    """Smallest integer n > lo with holds(n), for a predicate that is false
+    up to some n and true from there on; holds(lo) counts as false.  hi,
+    when given, counts as true without a probe; otherwise the bracket
+    doubles from lo + 1."""
+    if hi is None:
+        hi = lo + 1
+        while not holds(hi):
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _delay_search(source, model, epsilon, top=None):
+    """``delay_bound``, searched in (0, top] when ``top`` is known to certify."""
+    if _stable(source, model):
+        log_eps = math.log(epsilon)
+        best = functools.cache(lambda d: _best_theta(source, model, d, log_eps))
+        # No stable theta (nan) comes from the solve for y, which does not
+        # involve d, so it holds at every delay and ends the search at d = 1.
+        d = _first_true(lambda d: math.isnan(best(d)[0]) or best(d)[1] <= log_eps,
+                        0, top)
+        theta = best(d)[0]
+        if not math.isnan(theta):
+            return DelayBoundResult(d_slots=float(d), theta_star=theta,
+                                    epsilon=epsilon, valid=True, unstable=False)
+    return DelayBoundResult(d_slots=math.inf, theta_star=math.nan,
+                            epsilon=epsilon, valid=False, unstable=True)
+
+
 def delay_bound(source, model, epsilon):
     """Smallest delay tau_d whose violation probability bound drops below epsilon.
 
@@ -239,32 +276,7 @@ def delay_bound(source, model, epsilon):
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    log_eps = math.log(epsilon)
-    refused = DelayBoundResult(d_slots=math.inf, theta_star=math.nan,
-                               epsilon=epsilon, valid=False, unstable=True)
-    if not _stable(source, model):
-        return refused
-
-    def probe(d):
-        theta, val = _best_theta(source, model, d, log_eps)
-        return theta, val <= log_eps
-
-    lo, hi = 0, 1                   # F(0) >= 1 > epsilon: lo never certifies
-    theta, ok = probe(hi)
-    if math.isnan(theta):
-        return refused
-    while not ok:
-        lo, hi = hi, 2 * hi
-        theta, ok = probe(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        th, ok = probe(mid)
-        if ok:
-            hi, theta = mid, th
-        else:
-            lo = mid
-    return DelayBoundResult(d_slots=float(hi), theta_star=theta, epsilon=epsilon,
-                            valid=True, unstable=False)
+    return _delay_search(source, model, epsilon)
 
 
 def capacity_limit(cfg, model):
@@ -283,20 +295,20 @@ class ThroughputResult:
     d_guarantee_slots: int
     resolution_blocks: float
     tau_slots: int
-    delay_at_lambda: DelayBoundResult | None
-    delay_above: DelayBoundResult | None    # certificate: next lattice point fails
+    delay_at_lambda: DelayBoundResult
     infeasible: bool            # guarantee unattainable even as lambda -> 0
-    capped: bool                # search cap reached; rate reported at the cap
 
 
 def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
                                  resolution_blocks=1e-3, tau_slots=1):
     """Bisect the arrival-rate lattice for the delay-constrained throughput.
 
-    A lattice point is feasible when min_theta ln F_theta(d_guarantee) <= ln
+    A lattice point is refused when min_theta ln F_theta(d_guarantee) > ln
     epsilon, which is monotone in the rate, so the returned point is exactly
-    the lattice maximum; the delay bounds at it and one step above are
-    reported as its certificates.
+    the lattice maximum and the point above it is the last refused probe.
+    The bisection's top, the first point with an empty stable set, is found
+    without evaluating the bound; the delay bound reported at the returned
+    point is searched in (0, d_guarantee], which is known to certify.
     """
     if int(d_guarantee_slots) != d_guarantee_slots or d_guarantee_slots < 0:
         raise ValueError("d_guarantee_slots must be a nonnegative integer")
@@ -304,43 +316,26 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
         raise ValueError("resolution_blocks must be positive")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    log_eps = math.log(epsilon)
-    c_lim = capacity_limit(cfg, model)
-    bits_per_block_rate = cfg.alpha * cfg.n_b_bits / cfg.t_b_s
+    log_eps, d_g = math.log(epsilon), int(d_guarantee_slots)
 
     def source(k):
         return PeriodicSource(k * resolution_blocks * tau_slots, tau_slots)
 
-    def feasible(k):
-        src, d = source(k), int(d_guarantee_slots)
-        return (d >= 1 and _stable(src, model)
-                and _best_theta(src, model, d, log_eps)[1] <= log_eps)
+    def refused(k):
+        src = source(k)
+        return not (d_g >= 1 and _stable(src, model)
+                    and _best_theta(src, model, d_g, log_eps)[1] <= log_eps)
 
-    def make(k, delay_above, infeasible, capped):
-        lam = k * resolution_blocks
-        return ThroughputResult(
-            lambda_blocks=lam, lambda_bps=lam * bits_per_block_rate,
-            c_lim_bps=c_lim, epsilon=epsilon,
-            d_guarantee_slots=int(d_guarantee_slots),
-            resolution_blocks=resolution_blocks, tau_slots=tau_slots,
-            delay_at_lambda=delay_bound(source(k), model, epsilon),
-            delay_above=delay_above, infeasible=infeasible, capped=capped)
-
-    if not feasible(1):
-        return make(0, delay_bound(source(1), model, epsilon),
-                    infeasible=True, capped=False)
-
-    rate_cap = float(np.max(model.rates_blocks))
-    k_hi = max(2, math.ceil(rate_cap / resolution_blocks) + 1)
-    if feasible(k_hi):
-        return make(k_hi, None, infeasible=False, capped=True)
-
-    lo, hi = 1, k_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return make(lo, delay_bound(source(hi), model, epsilon),
-                infeasible=False, capped=False)
+    infeasible = refused(1)
+    if infeasible:
+        k, top = 0, None
+    else:
+        k_stab = _first_true(lambda k: not _stable(source(k), model), 1)
+        k, top = _first_true(refused, 1, k_stab) - 1, d_g
+    lam = k * resolution_blocks
+    return ThroughputResult(
+        lambda_blocks=lam, lambda_bps=lam * (cfg.alpha * cfg.n_b_bits / cfg.t_b_s),
+        c_lim_bps=capacity_limit(cfg, model), epsilon=epsilon,
+        d_guarantee_slots=d_g, resolution_blocks=resolution_blocks,
+        tau_slots=tau_slots, infeasible=infeasible,
+        delay_at_lambda=_delay_search(source(k), model, epsilon, top))

@@ -79,6 +79,25 @@ def test_sweep_values_out_of_range_exit_one(capsys):
         assert err.startswith("config error:") and bad in err
 
 
+def test_negative_seed_exits_one(tmp_path, capsys):
+    for verb in ("solve", "sweep", "validate"):
+        code = main([verb, *POINT_ARGS, "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: seed")
+    cfgfile = tmp_path / "seed.cfg"
+    cfgfile.write_text("snr_avg_db = 6\nalpha = 0.5\nf_m_hz = 20\nseed = -1\n",
+                       encoding="utf-8")
+    assert main(["solve", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err.startswith("config error: seed")
+
+
+def test_workers_below_one_exit_one(capsys):
+    for workers in ("0", "-3"):
+        code = main(["solve", *POINT_ARGS, "--workers", workers])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: workers")
+
+
 def test_missing_config_file_exits_one(capsys):
     code = main(["solve", "--config", "/nonexistent/path.cfg"])
     assert code == 1

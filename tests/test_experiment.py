@@ -120,6 +120,12 @@ def test_spec_validation_bounds():
     for res in ("0", "-1e-3", "inf", "nan"):
         with pytest.raises(cc.ConfigError, match="resolution_blocks"):
             cc.parse_config(BASE + "resolution_blocks = %s\n" % res)
+    # SeedSequence refuses a negative entropy; the spec names it first
+    with pytest.raises(cc.ConfigError, match="seed must be nonnegative"):
+        cc.parse_config(BASE + "seed = -1\n")
+    with pytest.raises(cc.ConfigError, match="seed"):
+        cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
+                       "seed": -1})
     # keys of the former truncated bound are refused by name
     for key in ("horizon_slots", "theta_min", "theta_max", "theta_points"):
         with pytest.raises(cc.ConfigError, match=r"line \d+: '%s' was removed.*exact"
@@ -221,3 +227,36 @@ def test_workers_do_not_change_results():
     seq = cc.run_experiment(spec, workers=1)
     par = cc.run_experiment(spec, workers=2)
     assert seq == par
+
+
+def test_workers_below_one_are_refused():
+    spec = cc.parse_config(BASE)
+    for workers in (0, -3):
+        with pytest.raises(cc.ConfigError, match="workers"):
+            cc.run_experiment(spec, workers=workers)
+
+
+def test_worker_pool_capped_at_the_point_count(monkeypatch):
+    # a stand-in executor records the pool size and maps in this process,
+    # so no worker process is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr("cdmacal.experiment.ProcessPoolExecutor", RecordingPool)
+    spec = cc.parse_config(BASE + "sweep_axis = delay_guarantee\n"
+                           "sweep_start = 60\nsweep_stop = 120\nsweep_step = 60\n")
+    rows = cc.run_experiment(spec, workers=64)
+    assert sizes == [2]
+    assert rows == cc.run_experiment(spec, workers=1)

@@ -364,13 +364,15 @@ def test_capacity_limit_is_the_weighted_rate_sum(ref_cfg, ref_model):
 def test_throughput_search_returns_lattice_certificate(ref_cfg, ref_model):
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=100)
-    assert not res.infeasible and not res.capped
+    assert not res.infeasible
     k = res.lambda_blocks / res.resolution_blocks
     assert k == pytest.approx(round(k), abs=1e-9)
     assert res.delay_at_lambda.d_slots <= 100
     _assert_certificate(ref_model, cc.PeriodicSource(res.lambda_blocks),
                         res.delay_at_lambda)
-    assert res.delay_above.d_slots > 100
+    # the next lattice point fails the guarantee
+    above = cc.PeriodicSource(res.lambda_blocks + res.resolution_blocks)
+    assert cc.delay_bound(above, ref_model, 1e-2).d_slots > 100
     assert res.lambda_bps == pytest.approx(
         ref_cfg.alpha * res.lambda_blocks * ref_cfg.n_b_bits / ref_cfg.t_b_s)
     assert res.lambda_bps < res.c_lim_bps
@@ -396,7 +398,24 @@ def test_bursty_source_certifies_the_exact_rate(ref_cfg, ref_model):
     assert res.delay_at_lambda.d_slots <= 100
     _assert_certificate(ref_model, cc.PeriodicSource(5 * res.lambda_blocks, 5),
                         res.delay_at_lambda)
-    assert res.delay_above.d_slots > 100
+    above = cc.PeriodicSource(5 * (res.lambda_blocks + res.resolution_blocks), 5)
+    assert cc.delay_bound(above, ref_model, 1e-2).d_slots > 100
+
+
+@pytest.mark.parametrize("tau", [1, 5])
+@pytest.mark.parametrize("d_guarantee", [40, 100, 200])
+def test_reported_delay_matches_the_unbounded_search(ref_cfg, ref_model,
+                                                     d_guarantee, tau):
+    # the throughput searches the reported delay only up to the guarantee;
+    # it must equal the public search over all delays, exponent included
+    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+                                          d_guarantee_slots=d_guarantee,
+                                          tau_slots=tau)
+    assert not res.infeasible
+    full = cc.delay_bound(cc.PeriodicSource(res.lambda_blocks * tau, tau),
+                          ref_model, 1e-2)
+    assert res.delay_at_lambda.d_slots == full.d_slots <= d_guarantee
+    assert res.delay_at_lambda.theta_star == full.theta_star
 
 
 def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
@@ -404,8 +423,9 @@ def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
                                           d_guarantee_slots=0)
     assert res.infeasible
     assert res.lambda_blocks == 0.0
-    assert res.delay_above is not None
-    assert res.delay_above.d_slots > 0
+    # the first lattice point is refused: its delay bound exceeds 0 slots
+    first = cc.PeriodicSource(res.resolution_blocks)
+    assert cc.delay_bound(first, ref_model, 1e-2).d_slots > 0
 
 
 def test_all_outage_channel_carries_nothing(ref_cfg):
