@@ -20,15 +20,14 @@ from .experiment import (ExperimentSpec, NetcalControls, build_spec,
 from .fsmc import (FsmcModel, build_fsmc, level_crossing_rate,
                    stationary_distribution)
 from .largesys import (DecoupledChannel, SystemConfig, interference_integral,
-                       post_detection_snr_pdf, solve_fixed_point)
+                       solve_fixed_point)
 from .netcal import (DelayBoundResult, PeriodicSource, ThroughputResult,
-                     capacity_limit, arrival_mgf, delay_bound,
+                     capacity_limit, delay_bound,
                      delay_constrained_throughput, log_violation_bound,
                      service_log_mgf)
-from .sim import (FiniteSystemSample, QueueTrace, sample_finite_sinr,
-                  sample_finite_sinr_batch, simulate_fifo_queue,
+from .sim import (QueueTrace, sample_finite_sinr_batch, simulate_fifo_queue,
                   simulate_fsmc)
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear
 
 __all__ = [
     "Mode", "ModeTable", "ThresholdCheck",
@@ -41,12 +40,11 @@ __all__ = [
     "FsmcModel", "build_fsmc", "level_crossing_rate",
     "stationary_distribution",
     "DecoupledChannel", "SystemConfig", "interference_integral",
-    "post_detection_snr_pdf", "solve_fixed_point",
+    "solve_fixed_point",
     "DelayBoundResult", "PeriodicSource", "ThroughputResult",
-    "capacity_limit", "arrival_mgf", "delay_bound",
+    "capacity_limit", "delay_bound",
     "delay_constrained_throughput", "log_violation_bound", "service_log_mgf",
-    "FiniteSystemSample", "QueueTrace", "sample_finite_sinr",
-    "sample_finite_sinr_batch", "simulate_fifo_queue", "simulate_fsmc",
-    "db_to_linear", "linear_to_db",
+    "QueueTrace", "sample_finite_sinr_batch", "simulate_fifo_queue",
+    "simulate_fsmc", "db_to_linear",
     "__version__",
 ]

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import brentq
 
+from ._search import find_root
 from .errors import ConfigError
 from .units import db_to_linear
 
@@ -232,12 +232,13 @@ def verify_thresholds(table, *, tol_db=0.3):
         hi_db = mode.threshold_db + _BRACKET_DB
         g = lambda x_db: (constellation_capacity(mode, db_to_linear(x_db))
                           - mode.rate_bps_hz)
-        if g(lo_db) >= 0 or g(hi_db) <= 0:
+        g_lo, g_hi = g(lo_db), g(hi_db)
+        if g_lo >= 0 or g_hi <= 0:
             checks.append(ThresholdCheck(mode.index, mode.label, mode.rate_bps_hz,
                                          mode.threshold_db, math.nan, math.nan,
                                          False, False))
             continue
-        solved_db = brentq(g, lo_db, hi_db, xtol=1e-4)
+        solved_db, _ = find_root(g, lo_db, hi_db, 1e-4, fa=g_lo, fb=g_hi)
         err = abs(solved_db - mode.threshold_db)
         checks.append(ThresholdCheck(mode.index, mode.label, mode.rate_bps_hz,
                                      mode.threshold_db, float(solved_db), float(err),

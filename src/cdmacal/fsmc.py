@@ -16,8 +16,6 @@ with this pi by construction, so pi is the exact stationary vector of the
 matrix; ``stationary_mismatch`` reports the (tiny) numerical gap.
 """
 from dataclasses import dataclass
-import io
-import math
 
 import numpy as np
 
@@ -78,14 +76,6 @@ class FsmcModel:
     def stationary_mismatch(self):
         """l1 norm of pi P - pi; a diagnostic, expected at rounding level."""
         return float(np.sum(np.abs(self.pi @ self.transition - self.pi)))
-
-    def transition_matrix_text(self):
-        """Row-major full-precision decimal dump of the transition matrix."""
-        buf = io.StringIO()
-        for row in self.transition:
-            buf.write(" ".join(f"{x:.17g}" for x in row))
-            buf.write("\n")
-        return buf.getvalue()
 
 
 def _freeze(arr):

@@ -18,8 +18,8 @@ import math
 import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._search import find_root
 from .amc import ModeTable, default_mode_table
 from .units import db_to_linear
 
@@ -117,9 +117,9 @@ def solve_fixed_point(cfg, alpha=None):
     """Solve the large-system fixed point for beta and gamma_bar = 1/beta.
 
     g(b) = b - sigma^2 - alpha I(b) is negative at sigma^2 and positive at
-    sigma^2 + alpha (0 < I(b) < 1), so one ``brentq`` on that bracket finds
-    the unique root; at zero load the bracket has zero width and beta is
-    sigma^2 exactly.
+    sigma^2 + alpha (0 < I(b) < 1), so one Brent root search on that
+    bracket finds the unique root; at zero load the bracket has zero width
+    and beta is sigma^2 exactly, after 0 iterations.
     """
     if alpha is None:
         alpha = cfg.alpha
@@ -127,21 +127,7 @@ def solve_fixed_point(cfg, alpha=None):
         raise ValueError("alpha must be nonnegative and finite")
     sigma2 = cfg.sigma2
     g = lambda b: b - sigma2 - alpha * interference_integral(b)
-    beta, info = brentq(g, sigma2, sigma2 + alpha, xtol=sys.float_info.min,
-                        rtol=4 * sys.float_info.epsilon, full_output=True)
+    beta, iterations = find_root(g, sigma2, sigma2 + alpha, sys.float_info.min)
     return DecoupledChannel(beta=beta, gamma_bar=1.0 / beta, sigma2=sigma2,
                             alpha=alpha, residual=abs(g(beta)) / beta,
-                            iterations=info.iterations)
-
-
-def post_detection_snr_pdf(gamma_bar):
-    """Density of the post-detection SNR: exponential with mean gamma_bar."""
-    if not gamma_bar > 0:
-        raise ValueError("gamma_bar must be positive")
-
-    def pdf(gamma):
-        g = np.asarray(gamma, dtype=float)
-        out = np.where(g < 0, 0.0, np.exp(-g / gamma_bar) / gamma_bar)
-        return out if out.ndim else float(out)
-
-    return pdf
+                            iterations=iterations)

@@ -49,7 +49,8 @@ import functools
 import math
 
 import numpy as np
-from scipy import optimize
+
+from ._search import find_root, minimize_bounded
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,6 @@ class PeriodicSource:
             bump = np.logaddexp(np.log1p(-r), np.log(r) + theta * self.delta_blocks)
         out = base + np.where(rem == 0, 0.0, bump)
         return out if out.ndim else float(out)
-
-
-def arrival_mgf(source, theta, t):
-    """Ma(theta, t) on the linear scale (may overflow to inf for huge theta*t)."""
-    return np.exp(source.log_mgf(theta, t))
 
 
 def _check_theta(theta):
@@ -187,10 +183,11 @@ def _stable(source, model):
     return source.delta_blocks < source.tau_slots * float(model.pi @ model.rates_blocks)
 
 
-def _best_theta(source, model, d_slots, log_eps):
+def _best_theta(source, model, d_slots, log_eps, stop=-math.inf):
     """(theta, ln F_theta(d)) at the minimiser of ln F over the stable set,
-    or at the first theta met with ln F <= log_eps while ln F still falls;
-    (nan, inf) when no stable theta is found.
+    or at the first theta met with ln F <= log_eps while ln F still falls,
+    or, in the minimiser, at the first theta met with ln F <= stop; (nan,
+    inf) when no stable theta is found.
 
     The bracket comes from the inputs: starting at one over the mean
     service rate, theta halves until ln F is finite and doubles while ln F
@@ -214,12 +211,13 @@ def _best_theta(source, model, d_slots, log_eps):
             hi, f_hi = 2 * theta, fn
     if fx <= log_eps:
         return theta, fx
-    g = lambda th: _log_stability(source, model, th)
-    if f_hi == math.inf and g(theta) < 0 < g(hi):
-        hi = optimize.brentq(g, theta, hi, xtol=1e-12 * hi)
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-9 * hi})
-    return (float(res.x), float(res.fun)) if res.fun < fx else (theta, fx)
+    if f_hi == math.inf:
+        g = lambda th: _log_stability(source, model, th)
+        g_lo, g_hi = g(theta), g(hi)
+        if g_lo < 0 < g_hi:
+            hi, _ = find_root(g, theta, hi, 1e-12 * hi, fa=g_lo, fb=g_hi)
+    x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
+    return (x, fun) if fun < fx else (theta, fx)
 
 
 @dataclass(frozen=True)
@@ -306,9 +304,11 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     A lattice point is refused when min_theta ln F_theta(d_guarantee) > ln
     epsilon, which is monotone in the rate, so the returned point is exactly
     the lattice maximum and the point above it is the last refused probe.
-    The bisection's top, the first point with an empty stable set, is found
-    without evaluating the bound; the delay bound reported at the returned
-    point is searched in (0, d_guarantee], which is known to certify.
+    A probe's theta search stops at the first theta that meets epsilon;
+    only the reported delay bound minimises fully.  The bisection's top,
+    the first point with an empty stable set, is found without evaluating
+    the bound; the delay bound reported at the returned point is searched
+    in (0, d_guarantee], which is known to certify.
     """
     if int(d_guarantee_slots) != d_guarantee_slots or d_guarantee_slots < 0:
         raise ValueError("d_guarantee_slots must be a nonnegative integer")
@@ -324,7 +324,8 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     def refused(k):
         src = source(k)
         return not (d_g >= 1 and _stable(src, model)
-                    and _best_theta(src, model, d_g, log_eps)[1] <= log_eps)
+                    and _best_theta(src, model, d_g, log_eps,
+                                    stop=log_eps)[1] <= log_eps)
 
     infeasible = refused(1)
     if infeasible:

@@ -27,17 +27,6 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
-class FiniteSystemSample:
-    """One draw of the finite-system LMMSE post-detection SINR."""
-
-    m: int              # spreading factor
-    k: int              # user count
-    sinr: float
-    p1: float           # tagged user's channel power |h_1|^2
-    seed: object
-
-
 def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     """Draw n finite-system SINR samples; returns (sinr, p1) arrays.
 
@@ -74,12 +63,6 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
         p1[done:done + c] = p[:, 0]
         done += c
     return sinr, p1
-
-
-def sample_finite_sinr(m, k, sigma2, seed=None):
-    """Single finite-system SINR draw."""
-    sinr, p1 = sample_finite_sinr_batch(m, k, sigma2, 1, seed=seed)
-    return FiniteSystemSample(m=m, k=k, sinr=float(sinr[0]), p1=float(p1[0]), seed=seed)
 
 
 def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):

@@ -7,11 +7,3 @@ def db_to_linear(x_db):
     x_db = np.asarray(x_db, dtype=float)
     out = np.where(np.isneginf(x_db), 0.0, 10.0 ** (x_db / 10.0))
     return out if out.ndim else float(out)
-
-
-def linear_to_db(x):
-    """Convert a positive power ratio to dB. 0 maps to -inf."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = 10.0 * np.log10(x)
-    return out if out.ndim else float(out)

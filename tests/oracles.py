@@ -7,7 +7,9 @@ matrix-vector recursion for the service MGF table, truncated sums with a
 geometric tail bound for the delay bound, bisection for the large-system
 fixed point, arbitrary precision for the interference integral's closed
 form, a direct m x m solve for the finite-system SINR, and one-dimensional
-adaptive quadrature of the PAM sums for the constellation capacity.
+adaptive quadrature of the PAM sums for the constellation capacity.  The
+exponential SNR density and the dB conversion are the textbook formulas
+the pipeline is built on, kept here because only tests read them.
 """
 import math
 
@@ -200,3 +202,16 @@ def constellation_capacity_quadrature(name, gamma):
     if name == "bpsk":
         return pam_capacity_quadrature(levels, gamma)
     return 2.0 * pam_capacity_quadrature(levels, gamma / 2.0)
+
+
+def post_detection_snr_pdf(gamma_bar):
+    """Exponential post-detection SNR density with mean gamma_bar, zero below 0."""
+    return lambda g: math.exp(-g / gamma_bar) / gamma_bar if g >= 0 else 0.0
+
+
+def linear_to_db(x):
+    """Power ratio in dB, the inverse of ``db_to_linear``; 0 maps to -inf."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = 10.0 * np.log10(x)
+    return out if out.ndim else float(out)

@@ -171,12 +171,6 @@ def test_block_rates_at_reference_point(ref_model):
         [0.0, 2.0, 4.0, 6.0, 9.0, 12.0, 18.0], rel=1e-12)
 
 
-def test_matrix_text_dump_roundtrips(ref_model):
-    text = ref_model.transition_matrix_text()
-    rows = [[float(x) for x in line.split()] for line in text.strip().splitlines()]
-    assert np.array_equal(np.array(rows), ref_model.transition)
-
-
 def test_level_crossing_rate_shape(ref_channel):
     gb = ref_channel.gamma_bar
     assert level_crossing_rate(0.0, gb, 20.0) == 0.0

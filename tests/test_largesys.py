@@ -15,7 +15,8 @@ from scipy import integrate
 import cdmacal as cc
 from cdmacal.largesys import interference_integral
 
-from oracles import fixed_point_bisection, interference_integral_closed_form
+from oracles import (fixed_point_bisection, interference_integral_closed_form,
+                     post_detection_snr_pdf)
 
 # beta values frozen from the bisection oracle at (alpha, snr_db):
 # (0.5, 6), (0.5, -2), (0.5, 4)
@@ -99,21 +100,30 @@ def test_beta_monotone_in_load_and_noise():
 
 
 def test_zero_load_reduces_to_noise_only():
-    cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0)
-    ch = cc.solve_fixed_point(cfg, alpha=0.0)
-    assert ch.beta == cfg.sigma2
-    assert ch.gamma_bar == pytest.approx(1.0 / cfg.sigma2, rel=1e-15)
+    for snr_db in (-20.0, -5.0, 0.0, 6.0, 20.0, 40.0):
+        cfg = cc.SystemConfig(snr_avg_db=snr_db, alpha=0.5, f_m_hz=20.0)
+        ch = cc.solve_fixed_point(cfg, alpha=0.0)
+        assert ch.beta == cfg.sigma2
+        assert ch.gamma_bar == pytest.approx(1.0 / cfg.sigma2, rel=1e-15)
+        # sigma^2 is an endpoint root of the zero-width bracket: no
+        # iteration runs
+        assert ch.iterations == 0, snr_db
 
 
-def test_snr_pdf_normalizes_with_correct_mean(ref_channel):
-    pdf = cc.post_detection_snr_pdf(ref_channel.gamma_bar)
+def test_snr_pdf_normalizes_with_correct_mean(ref_cfg, ref_channel):
+    pdf = post_detection_snr_pdf(ref_channel.gamma_bar)
     total, _ = integrate.quad(pdf, 0, np.inf)
     mean, _ = integrate.quad(lambda g: g * pdf(g), 0, np.inf)
     assert total == pytest.approx(1.0, rel=1e-9)
     assert mean == pytest.approx(ref_channel.gamma_bar, rel=1e-9)
     assert pdf(-1.0) == 0.0
-    out = pdf(np.array([-1.0, 0.0, 1.0]))
-    assert out.shape == (3,) and out[0] == 0.0
+    # the chain's stationary law is this density's mass per mode interval
+    edges = np.append(ref_cfg.modes.thresholds_linear, np.inf)
+    pi = cc.stationary_distribution(ref_cfg.modes.thresholds_linear,
+                                    ref_channel.gamma_bar)
+    mass = [integrate.quad(pdf, lo, hi, epsabs=0, epsrel=1e-12)[0]
+            for lo, hi in zip(edges, edges[1:])]
+    assert pi == pytest.approx(mass, rel=1e-9, abs=1e-14)
 
 
 def test_config_validation():

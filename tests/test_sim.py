@@ -38,9 +38,9 @@ def test_finite_sinr_woodbury_matches_direct_solve():
 
 
 def test_finite_sinr_single_draw_and_validation():
-    s = cc.sample_finite_sinr(16, 8, 0.5, seed=4)
-    assert s.m == 16 and s.k == 8
-    assert s.sinr > 0 and s.p1 > 0
+    sinr, p1 = cc.sample_finite_sinr_batch(16, 8, 0.5, 1, seed=4)
+    assert sinr.shape == p1.shape == (1,)
+    assert sinr[0] > 0 and p1[0] > 0
     with pytest.raises(ValueError):
         cc.sample_finite_sinr_batch(0, 1, 0.5, 1)
     with pytest.raises(ValueError):
