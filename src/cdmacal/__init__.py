@@ -11,8 +11,7 @@ every analytical stage.
 __version__ = "0.1.0"
 
 from .amc import (Mode, ModeTable, ThresholdCheck, constellation_capacity,
-                  constellation_points, default_mode_table, select_mode,
-                  verify_thresholds)
+                  constellation_points, default_mode_table, verify_thresholds)
 from .errors import ConfigError, SlowFadingViolation
 from .experiment import (ExperimentSpec, NetcalControls, build_spec,
                          evaluate_point, metadata_lines, parse_config,
@@ -32,7 +31,7 @@ from .units import db_to_linear
 __all__ = [
     "Mode", "ModeTable", "ThresholdCheck",
     "constellation_capacity", "constellation_points", "default_mode_table",
-    "select_mode", "verify_thresholds",
+    "verify_thresholds",
     "ConfigError", "SlowFadingViolation",
     "ExperimentSpec", "NetcalControls", "build_spec", "evaluate_point",
     "metadata_lines", "parse_config", "render_csv", "run_experiment",

@@ -150,19 +150,6 @@ def default_mode_table():
     return ModeTable.from_rows(_DEFAULT_ROWS)
 
 
-def select_mode(table, gamma):
-    """Index of the highest-rate mode whose linear SNR threshold is <= gamma.
-
-    Intervals are closed at the lower threshold: gamma exactly equal to a
-    switch point selects the higher mode.  gamma must be >= 0 (linear scale).
-    """
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0) or np.any(np.isnan(g)):
-        raise ValueError("gamma must be a nonnegative linear SNR")
-    idx = np.searchsorted(table.thresholds_linear, g, side="right") - 1
-    return int(idx) if idx.ndim == 0 else idx
-
-
 def _as_points(constellation):
     if isinstance(constellation, Mode):
         return constellation.points

@@ -21,12 +21,6 @@ from .fsmc import FsmcModel
 from .netcal import PeriodicSource
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     """Draw n finite-system SINR samples; returns (sinr, p1) arrays.
 
@@ -41,7 +35,7 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
         raise ValueError("m and k must be positive integers")
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     sinr = np.empty(n)
     p1 = np.empty(n)
     done = 0
@@ -65,11 +59,17 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     return sinr, p1
 
 
+def _whole(name, x, lo, hi=math.inf):
+    """x as an int when it is a whole number in [lo, hi]; else a ValueError."""
+    if not (math.isfinite(x) and int(x) == x and lo <= x <= hi):
+        raise ValueError(f"{name} must be a whole number in [{lo}, {hi}]: {x!r}")
+    return int(x)
+
+
 def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
-    """Simulate the mode chain for n_slots; the initial state is drawn from pi."""
-    if n_slots < 0:
-        raise ValueError("n_slots must be nonnegative")
-    rng = _rng(seed)
+    """Simulate the mode chain for n_slots from init_state, or else from pi."""
+    n_slots = _whole("n_slots", n_slots, 0)
+    rng = np.random.default_rng(seed)
     out = np.empty(n_slots, dtype=np.int64)
     if n_slots == 0:
         return out
@@ -82,9 +82,7 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
         state = int(min(np.searchsorted(cum, rng.random(), side="right"),
                         n_states - 1))
     else:
-        state = int(init_state)
-        if not 0 <= state < n_states:
-            raise ValueError("init_state out of range")
+        state = _whole("init_state", init_state, 0, n_states - 1)
     out[0] = state
     u = rng.random(n_slots - 1)
     lo_s, mid_s = lo[state], mid[state]
@@ -102,18 +100,14 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
 
 @dataclass(frozen=True)
 class QueueTrace:
-    """Result of a slotted FIFO run: per-slot records plus per-block delays."""
+    """Result of a slotted FIFO run: one delay per delivered arrival epoch."""
 
-    arrivals_blocks: np.ndarray   # per slot of the arrival window
-    service_blocks: np.ndarray    # per slot, including any drain slots
-    delays_slots: np.ndarray      # one sample per arrival epoch (batch last bit)
+    delays_slots: np.ndarray      # one sample per delivered epoch (batch last bit)
     n_slots: int                  # arrival window length
     epochs: int                   # arrival epochs = delivered + undelivered
-    blocks_per_epoch: float
     undelivered: int              # epochs never fully served (censored)
-    backlog_peak: float
-    unstable: bool                # backlog cap exceeded; run truncated there
-    seed: object
+    backlog_peak: float           # up to the cut when unstable
+    unstable: bool                # backlog cap exceeded; run stopped there
 
     def violation_frequency(self, d_slots):
         """Fraction of blocks with delay > d_slots, censored epochs counted as
@@ -125,106 +119,85 @@ class QueueTrace:
         return f, math.sqrt(f * (1 - f) / self.epochs)
 
     def delay_quantiles(self, qs=(0.5, 0.9, 0.99, 0.999)):
-        if len(self.delays_slots) == 0:
+        """Empirical delay quantiles over all epochs, censored ones counted as
+        +inf: the q-quantile is the smallest whole d with
+        ``violation_frequency(d)[0] <= 1 - q``."""
+        if self.epochs == 0:
             return {q: math.nan for q in qs}
-        return {q: float(np.quantile(self.delays_slots, q)) for q in qs}
+        d = np.concatenate((self.delays_slots, np.full(self.undelivered, np.inf)))
+        return {q: float(np.quantile(d, q, method="inverted_cdf")) for q in qs}
+
+
+# Slots per pass of the queue loop; bounds its working memory.
+_CHUNK = 1 << 16
 
 
 def simulate_fifo_queue(model: FsmcModel, source: PeriodicSource, n_slots,
-                        seed=None, init_state=None, backlog_cap=1e9,
-                        drain_slot_cap=None):
+                        seed=None, backlog_cap=1e9):
     """Feed a periodic source through the FSMC server and record block delays.
 
     The chain starts from its stationary law; for periods longer than one
     slot the arrival phase is drawn uniformly.  After the arrival window the
-    server keeps running (up to ``drain_slot_cap`` extra slots, default
-    n_slots) so late blocks get a defined delay; anything still stuck is
-    reported as ``undelivered``.  If the backlog tops ``backlog_cap`` the
-    run is truncated at that slot and flagged unstable.
+    server keeps running, for at most n_slots extra slots, until every block
+    has departed; anything still queued then is reported as ``undelivered``.
+    If the backlog tops ``backlog_cap`` the run stops at that slot and is
+    flagged unstable.
+
+    Departures are D(t) = S(t) + min(0, min_{s<=t} [A(s) - S(s)]) for
+    cumulative arrivals A and service S.  One loop walks the path in chunks
+    of ``_CHUNK`` slots and carries S, the running minimum, the chain state
+    and the first epoch not yet departed into the next chunk, so memory
+    beyond one delay per epoch does not grow with n_slots.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be positive")
-    rng = _rng(seed)
-    if drain_slot_cap is None:
-        drain_slot_cap = n_slots
-    phase = 0 if source.tau_slots == 1 else int(rng.integers(source.tau_slots))
-    states = simulate_fsmc(model, n_slots, seed=rng, init_state=init_state)
+    n_slots = _whole("n_slots", n_slots, 1)
+    if not backlog_cap >= 0:
+        raise ValueError("backlog_cap must be a nonnegative number or inf")
+    rng = np.random.default_rng(seed)
+    delta, tau = source.delta_blocks, int(source.tau_slots)
+    phase = 0 if tau == 1 else int(rng.integers(tau))
     rates = model.rates_blocks
-
-    delta = source.delta_blocks
-    tau = source.tau_slots
-    t_idx = np.arange(n_slots)
-    epoch_count_by_slot = np.where(t_idx >= phase, (t_idx - phase) // tau + 1, 0)
-    ca = delta * epoch_count_by_slot
-    arrivals = np.diff(np.concatenate(([0.0], ca)))
-
-    epoch_slots = np.arange(phase, n_slots, tau)
-    epochs = len(epoch_slots)
-    levels = delta * (np.arange(epochs) + 1.0)
-
-    def departures(cs_all, ca_all):
-        e = ca_all - cs_all
-        return cs_all + np.minimum(np.minimum.accumulate(e), 0.0)
-
-    cs = np.cumsum(rates[states])
-    backlog = ca - departures(cs, ca)
-    peak = float(backlog.max(initial=0.0))
-    unstable = peak > backlog_cap
-    if unstable:
-        cut = int(np.argmax(backlog > backlog_cap)) + 1
-        states = states[:cut]
-        cs = cs[:cut]
-        ca_full = ca[:cut]
-        keep = epoch_slots < cut
-        epoch_slots, levels = epoch_slots[keep], levels[keep]
-        epochs = len(epoch_slots)
-        n_window = cut
-    else:
-        ca_full = ca
-        n_window = n_slots
-
-    # extend service (no new arrivals) until every epoch departs or the cap hits
-    if not unstable and epochs:
-        total = levels[-1]
-        extra_used = 0
-        while extra_used < drain_slot_cap:
-            d_arr = departures(cs, np.concatenate((ca_full,
-                               np.full(len(cs) - len(ca_full), ca_full[-1]))))
-            if d_arr[-1] >= total:
-                break
-            mean_rate = max(float(model.pi @ rates), 1e-12)
-            need = int(min(drain_slot_cap - extra_used,
-                           max(1024, 1.5 * (total - d_arr[-1]) / mean_rate)))
-            more = simulate_fsmc(model, need + 1, seed=rng,
-                                 init_state=int(states[-1]))[1:]
-            states = np.concatenate((states, more))
-            cs = np.cumsum(rates[states])
-            extra_used += need
-
-    ca_ext = np.concatenate((ca_full, np.full(len(cs) - len(ca_full),
-                                              ca_full[-1] if len(ca_full) else 0.0)))
-    dep = departures(cs, ca_ext)
-
-    if epochs:
-        tol = np.maximum(1e-9, 1e-12 * levels)
-        dep_slot = np.searchsorted(dep, levels - tol, side="left")
-        served = dep_slot < len(dep)
+    epochs = len(range(phase, n_slots, tau))
+    service, low, state, nxt = 0.0, 0.0, None, 0
+    peak, unstable, delays = 0.0, False, []
+    t0 = 0
+    while not unstable and (t0 < n_slots or (nxt < epochs and t0 < 2 * n_slots)):
+        t1 = min(t0 + _CHUNK, n_slots if t0 < n_slots else 2 * n_slots)
+        if state is None:
+            path = simulate_fsmc(model, t1 - t0, seed=rng)
+        else:
+            path = simulate_fsmc(model, t1 - t0 + 1, seed=rng,
+                                 init_state=state)[1:]
+        state = int(path[-1])
+        t = np.arange(t0, t1)
+        # epochs arrived by slot t; none arrive after the window
+        arrived = np.where(t >= phase,
+                           (np.minimum(t, n_slots - 1) - phase) // tau + 1, 0)
+        ca = delta * arrived
+        cs = np.cumsum(np.concatenate(([service], rates[path])))[1:]
+        lows = np.minimum.accumulate(np.concatenate(([low], ca - cs)))[1:]
+        dep = cs + lows
+        if t0 < n_slots:
+            backlog = ca - dep
+            over = np.flatnonzero(backlog > backlog_cap)
+            if len(over):
+                unstable = True
+                t1 = t0 + int(over[0]) + 1
+                dep, backlog = dep[:t1 - t0], backlog[:t1 - t0]
+                epochs = int(arrived[t1 - t0 - 1])
+            peak = max(peak, float(backlog.max()))
+        k = np.arange(nxt, int(arrived[len(dep) - 1]))
+        levels = delta * (k + 1.0)
+        slot = np.searchsorted(dep, levels - np.maximum(1e-9, 1e-12 * levels))
+        done = slot < len(dep)
         # a block cannot depart before its own arrival slot (relevant at delta=0)
-        delays = np.maximum(dep_slot[served] - epoch_slots[served], 0)
-        undelivered = int(np.sum(~served))
-    else:
-        delays = np.zeros(0, dtype=np.int64)
-        undelivered = 0
-
+        delays.append(np.maximum(t0 + slot[done] - (phase + k[done] * tau), 0))
+        nxt += int(np.count_nonzero(done))
+        service, low, t0 = cs[-1], lows[-1], t1
     return QueueTrace(
-        arrivals_blocks=arrivals[:n_window],
-        service_blocks=rates[states],
-        delays_slots=delays.astype(np.int64),
-        n_slots=n_window,
+        delays_slots=np.concatenate(delays),
+        n_slots=t0 if unstable else n_slots,
         epochs=epochs,
-        blocks_per_epoch=delta,
-        undelivered=undelivered,
+        undelivered=epochs - nxt,
         backlog_peak=peak,
         unstable=unstable,
-        seed=seed,
     )

@@ -8,6 +8,8 @@ geometric tail bound for the delay bound, bisection for the large-system
 fixed point, arbitrary precision for the interference integral's closed
 form, a direct m x m solve for the finite-system SINR, and one-dimensional
 adaptive quadrature of the PAM sums for the constellation capacity.  The
+FIFO queue is the exception: it reuses the library's chain path and
+replays the departures over whole-path arrays instead of chunks.  The
 exponential SNR density and the dB conversion are the textbook formulas
 the pipeline is built on, kept here because only tests read them.
 """
@@ -215,3 +217,90 @@ def linear_to_db(x):
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(x)
     return out if out.ndim else float(out)
+
+
+def fifo_queue_whole_array(model, source, n_slots, seed=None,
+                           backlog_cap=1e9):
+    """Slotted FIFO queue over whole-path arrays, with a drain of at most
+    n_slots extra slots drawn in growing blocks: the library's queue before
+    it became one chunked loop.  Returns the QueueTrace fields as a
+    namespace; on a run cut at the backlog cap, ``backlog_peak`` is the peak
+    over the whole arrival window, not just up to the cut."""
+    from types import SimpleNamespace
+
+    import cdmacal as cc
+
+    rng = np.random.default_rng(seed)
+    drain_slot_cap = n_slots
+    phase = 0 if source.tau_slots == 1 else int(rng.integers(source.tau_slots))
+    states = cc.simulate_fsmc(model, n_slots, seed=rng)
+    rates = model.rates_blocks
+
+    delta = source.delta_blocks
+    tau = source.tau_slots
+    t_idx = np.arange(n_slots)
+    epoch_count_by_slot = np.where(t_idx >= phase, (t_idx - phase) // tau + 1, 0)
+    ca = delta * epoch_count_by_slot
+
+    epoch_slots = np.arange(phase, n_slots, tau)
+    epochs = len(epoch_slots)
+    levels = delta * (np.arange(epochs) + 1.0)
+
+    def departures(cs_all, ca_all):
+        e = ca_all - cs_all
+        return cs_all + np.minimum(np.minimum.accumulate(e), 0.0)
+
+    cs = np.cumsum(rates[states])
+    backlog = ca - departures(cs, ca)
+    peak = float(backlog.max(initial=0.0))
+    unstable = peak > backlog_cap
+    if unstable:
+        cut = int(np.argmax(backlog > backlog_cap)) + 1
+        states = states[:cut]
+        cs = cs[:cut]
+        ca_full = ca[:cut]
+        keep = epoch_slots < cut
+        epoch_slots, levels = epoch_slots[keep], levels[keep]
+        epochs = len(epoch_slots)
+        n_window = cut
+    else:
+        ca_full = ca
+        n_window = n_slots
+
+    # extend service (no new arrivals) until every epoch departs or the cap hits
+    if not unstable and epochs:
+        total = levels[-1]
+        extra_used = 0
+        while extra_used < drain_slot_cap:
+            d_arr = departures(cs, np.concatenate((ca_full,
+                               np.full(len(cs) - len(ca_full), ca_full[-1]))))
+            if d_arr[-1] >= total:
+                break
+            mean_rate = max(float(model.pi @ rates), 1e-12)
+            need = int(min(drain_slot_cap - extra_used,
+                           max(1024, 1.5 * (total - d_arr[-1]) / mean_rate)))
+            more = cc.simulate_fsmc(model, need + 1, seed=rng,
+                                    init_state=int(states[-1]))[1:]
+            states = np.concatenate((states, more))
+            cs = np.cumsum(rates[states])
+            extra_used += need
+
+    ca_ext = np.concatenate((ca_full, np.full(len(cs) - len(ca_full),
+                                              ca_full[-1] if len(ca_full) else 0.0)))
+    dep = departures(cs, ca_ext)
+
+    if epochs:
+        tol = np.maximum(1e-9, 1e-12 * levels)
+        dep_slot = np.searchsorted(dep, levels - tol, side="left")
+        served = dep_slot < len(dep)
+        # a block cannot depart before its own arrival slot (relevant at delta=0)
+        delays = np.maximum(dep_slot[served] - epoch_slots[served], 0)
+        undelivered = int(np.sum(~served))
+    else:
+        delays = np.zeros(0, dtype=np.int64)
+        undelivered = 0
+
+    return SimpleNamespace(delays_slots=delays.astype(np.int64),
+                           n_slots=n_window, epochs=epochs,
+                           undelivered=undelivered, backlog_peak=peak,
+                           unstable=unstable)

@@ -97,41 +97,6 @@ def test_capacity_rejects_bad_gamma():
         cc.constellation_capacity("bpsk", math.nan)
 
 
-def test_select_mode_matches_linear_scan():
-    table = cc.default_mode_table()
-    thr = table.thresholds_linear
-    rng = np.random.default_rng(123)
-    gammas = np.concatenate([
-        10 ** rng.uniform(-2, 3, size=1000),
-        thr[1:],                        # exactly at switching points
-        np.nextafter(thr[1:], np.inf),
-        np.nextafter(thr[1:], -np.inf),
-        [0.0],
-    ])
-    for g in gammas:
-        want = max(m.index for m in table.modes if g >= thr[m.index])
-        assert cc.select_mode(table, float(g)) == want
-    batch = cc.select_mode(table, gammas)
-    scan = [max(m.index for m in table.modes if g >= thr[m.index])
-            for g in gammas]
-    assert np.array_equal(batch, scan)
-
-
-def test_select_mode_closed_at_lower_edge():
-    table = cc.default_mode_table()
-    for mode in table.modes[1:]:
-        got = cc.select_mode(table, table.thresholds_linear[mode.index])
-        assert got == mode.index
-
-
-def test_select_mode_rejects_bad_input():
-    table = cc.default_mode_table()
-    with pytest.raises(ValueError):
-        cc.select_mode(table, -1e-9)
-    with pytest.raises(ValueError):
-        cc.select_mode(table, math.nan)
-
-
 def test_default_table_matches_reference_rows():
     table = cc.default_mode_table()
     got = [(m.index, m.label, m.rate_bps_hz, m.threshold_db)

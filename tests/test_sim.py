@@ -1,15 +1,20 @@
 """Simulator checks: distributional sanity for the finite-system sampler
-and the channel paths, exact hand-worked cases for the FIFO queue."""
-import dataclasses
+and the channel paths, exact hand-worked cases for the FIFO queue, and the
+chunked queue held to the whole-array reference in ``oracles``."""
+import itertools
 import math
+import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
 import cdmacal as cc
+from cdmacal import sim
 
 from conftest import single_state_model
-from oracles import finite_sinr_direct
+from oracles import fifo_queue_whole_array, finite_sinr_direct
 
 
 def test_single_user_is_matched_filter():
@@ -97,8 +102,7 @@ def test_queue_slower_server_accumulates_delay():
     # service 2 blocks/slot, arrivals 3 per slot for 10 slots: block i
     # finishes when cumulative service 2(t+1) reaches 3(i+1)
     trace = cc.simulate_fifo_queue(single_state_model(2.0),
-                                   cc.PeriodicSource(3.0), 10, seed=0,
-                                   drain_slot_cap=100)
+                                   cc.PeriodicSource(3.0), 10, seed=0)
     assert np.array_equal(trace.delays_slots, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
     assert trace.undelivered == 0
     assert trace.epochs == 10
@@ -132,7 +136,7 @@ def test_queue_periodic_batches():
     # exactly one period later regardless of phase
     trace = cc.simulate_fifo_queue(single_state_model(2.0),
                                    cc.PeriodicSource(6.0, tau_slots=3), 60,
-                                   seed=12, drain_slot_cap=60)
+                                   seed=12)
     assert trace.undelivered == 0
     assert np.all(trace.delays_slots == 2)
 
@@ -156,11 +160,14 @@ def test_queue_drain_completes_late_blocks(ref_model):
 
 
 def test_queue_reports_censoring_when_drain_capped():
-    trace = cc.simulate_fifo_queue(single_state_model(2.0),
-                                   cc.PeriodicSource(3.0), 10, seed=0,
-                                   drain_slot_cap=0)
-    assert trace.undelivered > 0
-    assert len(trace.delays_slots) + trace.undelivered == trace.epochs
+    # 30 blocks into a 1-block/slot server; the drain stops after 10 extra
+    # slots, so 20 blocks (the first 6 epochs) have departed
+    trace = cc.simulate_fifo_queue(single_state_model(1.0),
+                                   cc.PeriodicSource(3.0), 10, seed=0)
+    assert np.array_equal(trace.delays_slots, [2, 4, 6, 8, 10, 12])
+    assert trace.undelivered == 4
+    assert trace.epochs == 10
+    assert not trace.unstable
 
 
 def test_queue_reproducible(ref_model):
@@ -168,13 +175,12 @@ def test_queue_reproducible(ref_model):
     a = cc.simulate_fifo_queue(ref_model, src, 20_000, seed=77)
     b = cc.simulate_fifo_queue(ref_model, src, 20_000, seed=77)
     assert np.array_equal(a.delays_slots, b.delays_slots)
-    assert np.array_equal(a.service_blocks, b.service_blocks)
+    assert a.backlog_peak == b.backlog_peak
 
 
 def test_violation_frequency_counts():
     trace = cc.simulate_fifo_queue(single_state_model(2.0),
-                                   cc.PeriodicSource(3.0), 10, seed=0,
-                                   drain_slot_cap=100)
+                                   cc.PeriodicSource(3.0), 10, seed=0)
     # delays [1 1 2 2 3 3 4 4 5 5]: 4 of 10 exceed 3
     freq, se = trace.violation_frequency(3)
     assert freq == pytest.approx(0.4)
@@ -185,6 +191,97 @@ def test_violation_frequency_counts():
     assert q[0.5] == pytest.approx(3.0)
 
 
+def _queue_cases(ref_model):
+    """Servers x loads x periods x lengths, seeds cycling 0..5; the last
+    group overloads the reference chain against a backlog cap of 30."""
+    servers = (ref_model, single_state_model(2.0), single_state_model(0.0))
+    grid = itertools.product(servers, (0.0, 1.663, 4.0, 23.7), (1, 3, 5),
+                             (1, 7, 64, 3000))
+    for i, (model, delta, tau, n) in enumerate(grid):
+        yield model, cc.PeriodicSource(delta, tau_slots=tau), n, i % 6, 1e9
+    for seed in range(6):
+        yield ref_model, cc.PeriodicSource(23.7), 3000, seed, 30.0
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_chunked_queue_matches_whole_array_reference(ref_model, monkeypatch,
+                                                     chunk):
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    seen = set()
+    for model, src, n, seed, cap in _queue_cases(ref_model):
+        got = cc.simulate_fifo_queue(model, src, n, seed=seed, backlog_cap=cap)
+        want = fifo_queue_whole_array(model, src, n, seed=seed,
+                                      backlog_cap=cap)
+        case = (src, n, seed, cap)
+        assert np.array_equal(got.delays_slots, want.delays_slots), case
+        assert got.delays_slots.dtype == np.int64
+        for field in ("epochs", "undelivered", "n_slots", "unstable"):
+            assert getattr(got, field) == getattr(want, field), (field, case)
+        if want.unstable:
+            # the chunked run stops at the cut, the reference reads on
+            assert cap < got.backlog_peak <= want.backlog_peak, case
+        else:
+            assert got.backlog_peak == want.backlog_peak, case
+        seen.add((want.unstable, want.undelivered > 0, n > chunk))
+    # the grid reaches cut runs, censored drains and multi-chunk paths
+    assert {(True, True, True), (False, True, True),
+            (False, False, True)} <= seen
+
+
+def test_queue_memory_does_not_grow_with_the_run(ref_model):
+    src = cc.PeriodicSource(8.0, tau_slots=5)
+    tracemalloc.start()
+    try:
+        trace = cc.simulate_fifo_queue(ref_model, src, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.epochs == 200_000 and trace.undelivered == 0
+    assert peak < 32e6
+
+
+def test_delay_quantile_is_a_whole_slot(ref_model):
+    trace = cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(1.0), 100,
+                                   seed=1)
+    q = trace.delay_quantiles((0.9,))[0.9]
+    assert q == int(q)
+    assert trace.violation_frequency(q)[0] <= 0.1 < \
+        trace.violation_frequency(q - 1)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rate=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+       delta=st.floats(0.0, 6.0), tau=st.integers(1, 3),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       qs=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4))
+def test_delay_quantiles_agree_with_violation_frequency(rate, delta, tau, n,
+                                                        seed, qs):
+    # q-quantile = smallest whole d with violation_frequency(d) <= 1 - q,
+    # censored epochs counted as +inf; 1e-12 absorbs the rounding of 1 - q
+    trace = cc.simulate_fifo_queue(single_state_model(rate),
+                                   cc.PeriodicSource(delta, tau_slots=tau), n,
+                                   seed=seed)
+    for q, d in trace.delay_quantiles(qs).items():
+        if trace.epochs == 0:
+            assert math.isnan(d)
+        elif d == math.inf:
+            # no such d: the censored share alone exceeds 1 - q
+            assert trace.undelivered / trace.epochs > 1 - q - 1e-12
+        else:
+            assert d >= 0 and d == int(d)
+            assert trace.violation_frequency(d)[0] <= 1 - q + 1e-12
+            if d > 0:
+                assert trace.violation_frequency(d - 1)[0] > 1 - q - 1e-12
+
+
+def test_delay_quantiles_count_censored_epochs():
+    # delays [2 4 6 8 10 12] and 4 epochs that never depart
+    trace = cc.simulate_fifo_queue(single_state_model(1.0),
+                                   cc.PeriodicSource(3.0), 10, seed=0)
+    q = trace.delay_quantiles((0.5, 0.6, 0.7))
+    assert q == {0.5: 10.0, 0.6: 12.0, 0.7: math.inf}
+
+
 def test_queue_input_validation(ref_model):
     with pytest.raises(ValueError):
         cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(1.0), 0)
@@ -192,3 +289,16 @@ def test_queue_input_validation(ref_model):
         cc.simulate_fsmc(ref_model, -1)
     with pytest.raises(ValueError):
         cc.simulate_fsmc(ref_model, 10, init_state=99)
+    for bad in (1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match="init_state"):
+            cc.simulate_fsmc(ref_model, 5, init_state=bad)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_slots"):
+            cc.simulate_fsmc(ref_model, bad)
+        with pytest.raises(ValueError, match="n_slots"):
+            cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(1.0), bad)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="backlog_cap"):
+            cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(1.0), 10,
+                                   backlog_cap=bad)
+    assert len(cc.simulate_fsmc(ref_model, 5.0, init_state=2.0)) == 5
