@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 from .amc import (Mode, ModeTable, ThresholdCheck, constellation_capacity,
                   constellation_points, default_mode_table, verify_thresholds)
 from .errors import ConfigError, SlowFadingViolation
-from .experiment import (ExperimentSpec, NetcalControls, build_spec,
-                         evaluate_point, metadata_lines, parse_config,
-                         render_csv, run_experiment, write_csv)
+from .experiment import (ExperimentSpec, build_spec, evaluate_point,
+                         metadata_lines, parse_config, render_csv,
+                         run_experiment)
 from .fsmc import (FsmcModel, build_fsmc, level_crossing_rate,
                    stationary_distribution)
 from .largesys import (DecoupledChannel, SystemConfig, interference_integral,
@@ -33,9 +33,8 @@ __all__ = [
     "constellation_capacity", "constellation_points", "default_mode_table",
     "verify_thresholds",
     "ConfigError", "SlowFadingViolation",
-    "ExperimentSpec", "NetcalControls", "build_spec", "evaluate_point",
+    "ExperimentSpec", "build_spec", "evaluate_point",
     "metadata_lines", "parse_config", "render_csv", "run_experiment",
-    "write_csv",
     "FsmcModel", "build_fsmc", "level_crossing_rate",
     "stationary_distribution",
     "DecoupledChannel", "SystemConfig", "interference_integral",

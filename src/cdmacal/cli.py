@@ -14,11 +14,14 @@ import sys
 
 from .amc import default_mode_table, verify_thresholds
 from .errors import ConfigError, SlowFadingViolation
-from .experiment import (REMOVED_REASON, build_spec, parse_config,
+from .experiment import (KEYS, REMOVED_REASON, build_spec, parse_config,
                          render_csv, run_experiment, _fmt)
 
 # Flags of the truncated bound, refused by name rather than ignored.
 _REMOVED_FLAGS = ("--horizon", "--theta-min", "--theta-max", "--theta-points")
+# Every other run parameter's flag is its key with dashes.
+_SHORT_FLAGS = {"d_guarantee_slots": "--d-guarantee",
+                "resolution_blocks": "--resolution", "tau_slots": "--tau"}
 
 
 class _RemovedFlag(argparse.Action):
@@ -26,51 +29,34 @@ class _RemovedFlag(argparse.Action):
         raise ConfigError("%s was removed: %s" % (option_string, self.const))
 
 
-def _add_common(p):
+def _add_common(p, sweep=False):
     p.add_argument("--config", help="path to a key = value config file")
-    p.add_argument("--snr-avg-db", type=float, dest="snr_avg_db")
-    p.add_argument("--alpha", type=float, dest="alpha")
-    p.add_argument("--f-m-hz", type=float, dest="f_m_hz")
-    p.add_argument("--t-b-s", type=float, dest="t_b_s")
-    p.add_argument("--w-hz", type=float, dest="w_hz")
-    p.add_argument("--n-b-bits", type=int, dest="n_b_bits")
-    p.add_argument("--epsilon", type=float, dest="epsilon")
-    p.add_argument("--d-guarantee", type=int, dest="d_guarantee_slots")
+    for key, typ in KEYS.items():
+        # validate comes from the verb; only sweep sweeps
+        if key != "validate" and (sweep or not key.startswith("sweep_")):
+            p.add_argument(_SHORT_FLAGS.get(key, "--" + key.replace("_", "-")),
+                           dest=key, type=typ, help="overrides config key " + key)
     for flag in _REMOVED_FLAGS:
         p.add_argument(flag, action=_RemovedFlag, const=REMOVED_REASON,
                        help=argparse.SUPPRESS)
-    p.add_argument("--resolution", type=float, dest="resolution_blocks")
-    p.add_argument("--tau", type=int, dest="tau_slots")
-    p.add_argument("--validate-slots", type=int, dest="validate_slots")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--output", dest="output", help="CSV destination (default stdout)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any bound is invalid or a check fails")
 
 
-_OVERRIDE_KEYS = (
-    "snr_avg_db", "alpha", "f_m_hz", "t_b_s", "w_hz", "n_b_bits", "epsilon",
-    "d_guarantee_slots", "resolution_blocks", "tau_slots", "validate_slots",
-    "seed", "output", "sweep_axis", "sweep_start", "sweep_stop", "sweep_step",
-)
-
-
 def _build_spec(args):
-    # only sweep has the sweep_* options; None marks a key left unset
-    overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
+    # a verb lacks the flags of some keys; None marks a key left unset
+    overrides = {k: getattr(args, k, None) for k in KEYS}
     overrides.update(args.extra)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
         return parse_config(text, overrides=overrides)
-    values = {k: v for k, v in overrides.items() if v is not None}
-    return build_spec(values)
+    return build_spec({k: v for k, v in overrides.items() if v is not None})
 
 
-def _emit(spec, rows, args):
-    text = render_csv(spec, rows)
-    dest = args.output or spec.output
+def _write(text, dest):
+    """Write text to the file dest, or to stdout when dest is empty."""
     if dest:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -94,7 +80,7 @@ def _run_points(args):
     if args.verb == "sweep" and not spec.sweep_axis:
         raise ConfigError("sweep requires sweep_axis (config key or --sweep-axis)")
     rows = run_experiment(spec, workers=args.workers)
-    _emit(spec, rows, args)
+    _write(render_csv(spec, rows), spec.output)
     if args.strict and any(_strict_bad(r) for r in rows):
         return 2
     return 0
@@ -117,12 +103,7 @@ def _cmd_thresholds(args):
         lines.append(",".join(_fmt(x) for x in (
             c.mode_index, c.label, c.rate_bps_hz, c.table_db, c.solved_db,
             c.error_db, c.solvable, c.within_tol)))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     if args.strict and any(not (c.solvable and c.within_tol) for c in checks):
         return 2
     return 0
@@ -141,11 +122,7 @@ def build_parser():
     p.set_defaults(func=_run_points, extra={"sweep_axis": ""})
 
     p = sub.add_parser("sweep", help="compute throughput along one axis")
-    _add_common(p)
-    p.add_argument("--sweep-axis", dest="sweep_axis")
-    p.add_argument("--sweep-start", type=float, dest="sweep_start")
-    p.add_argument("--sweep-stop", type=float, dest="sweep_stop")
-    p.add_argument("--sweep-step", type=float, dest="sweep_step")
+    _add_common(p, sweep=True)
     p.set_defaults(func=_run_points, extra={})
 
     p = sub.add_parser("validate",

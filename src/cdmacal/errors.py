@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+import math
 
 
 class ConfigError(ValueError):
@@ -19,3 +20,10 @@ class SlowFadingViolation(ValueError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+def whole_number(name, x, lo, hi=math.inf):
+    """x as an int when it is a whole number in [lo, hi]; else a ValueError."""
+    if not (math.isfinite(x) and int(x) == x and lo <= x <= hi):
+        raise ValueError(f"{name} must be a whole number in [{lo}, {hi}]: {x!r}")
+    return int(x)

@@ -6,16 +6,15 @@ Doppler); everything else is held at its configured value.  Results go to
 CSV with a commented metadata header so a result file is self-describing.
 """
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 import datetime
-import io
 import math
 
 import numpy as np
 
 from . import __version__ as _version
 from .amc import ModeTable, default_mode_table
-from .errors import ConfigError, SlowFadingViolation
+from .errors import ConfigError, SlowFadingViolation, whole_number
 from .fsmc import build_fsmc
 from .largesys import SystemConfig, solve_fixed_point
 from .netcal import (PeriodicSource, capacity_limit,
@@ -35,51 +34,47 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class NetcalControls:
-    """Throughput lattice spacing and arrival period of the bound computation."""
-
-    resolution_blocks: float = 1e-3
-    tau_slots: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.resolution_blocks < math.inf:
-            raise ValueError("resolution_blocks must be positive and finite")
-        if self.tau_slots < 1:
-            raise ValueError("tau_slots must be a positive integer")
-
-
 # Keys of the truncated bound, refused by name rather than ignored.
 REMOVED_KEYS = ("horizon_slots", "theta_min", "theta_max", "theta_points")
 REMOVED_REASON = ("the delay bound is now an exact closed-form sum, with no "
                   "horizon or theta grid to set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    """Fully resolved description of one run (single point or sweep)."""
+    """Fully resolved description of one run (single point or sweep).
+
+    Its scalar fields and those of SystemConfig are the run parameters:
+    each is a config key, a CLI flag and a metadata header line.
+    """
 
     system: SystemConfig
     epsilon: float = 1e-2
     d_guarantee_slots: int = 100
+    resolution_blocks: float = 1e-3     # throughput lattice spacing
+    tau_slots: int = 1                  # arrival period
+    seed: int = 12345
+    validate: bool = False
+    validate_slots: int = 1_000_000
     sweep_axis: str = ""
     sweep_start: float = math.nan
     sweep_stop: float = math.nan
     sweep_step: float = math.nan
-    controls: NetcalControls = field(default_factory=NetcalControls)
-    validate: bool = False
-    validate_slots: int = 1_000_000
-    seed: int = 12345
     output: str = ""
 
     def __post_init__(self):
         _check_point(self.epsilon, self.d_guarantee_slots)
+        if not 0 < self.resolution_blocks < math.inf:
+            raise ValueError("resolution_blocks must be positive and finite")
+        whole_number("tau_slots", self.tau_slots, 1)
         if self.sweep_axis:
             if self.sweep_axis not in SWEEP_AXES:
                 raise ValueError("sweep_axis must be one of %s" % (SWEEP_AXES,))
             for name in ("sweep_start", "sweep_stop", "sweep_step"):
                 if math.isnan(getattr(self, name)):
                     raise ValueError("%s is required when sweep_axis is set" % name)
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError("%s must be finite" % name)
             if self.sweep_step <= 0:
                 raise ValueError("sweep_step must be positive")
             if self.sweep_stop < self.sweep_start:
@@ -116,16 +111,16 @@ def _check_point(epsilon, d_guarantee_slots):
         raise ValueError("d_guarantee_slots must be nonnegative")
 
 
-_FLOAT_KEYS = {
-    "snr_avg_db", "alpha", "f_m_hz", "t_b_s", "w_hz", "epsilon",
-    "sweep_start", "sweep_stop", "sweep_step", "resolution_blocks",
-}
-_INT_KEYS = {
-    "n_b_bits", "d_guarantee_slots", "tau_slots", "validate_slots", "seed",
-}
-_BOOL_KEYS = {"validate"}
-_STR_KEYS = {"sweep_axis", "output"}
-_REQUIRED = ("snr_avg_db", "alpha", "f_m_hz")
+def _scalar_fields(cls):
+    return {f.name: f.type for f in fields(cls) if f.type in (float, int, bool, str)}
+
+
+# Every run parameter, name -> type, in declaration order: the config keys,
+# the CLI flags and the metadata header all read this one table.
+_SYSTEM_KEYS = _scalar_fields(SystemConfig)
+KEYS = {**_SYSTEM_KEYS, **_scalar_fields(ExperimentSpec)}
+_REQUIRED = tuple(f.name for f in fields(SystemConfig)
+                  if f.default is MISSING and f.default_factory is MISSING)
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -133,18 +128,11 @@ _FALSE = {"false", "no", "off", "0"}
 
 def _coerce(key, raw, lineno):
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError("not a boolean")
-        return raw
+        if KEYS[key] is not bool:
+            return KEYS[key](raw)
+        if raw.lower() in _TRUE | _FALSE:
+            return raw.lower() in _TRUE
+        raise ValueError("not a boolean")
     except ValueError as exc:
         raise ConfigError("line %d: bad value for %r: %s" % (lineno, key, exc)) from exc
 
@@ -174,7 +162,7 @@ def parse_config(text, overrides=None):
             if key in REMOVED_KEYS:
                 raise ConfigError("line %d: %r was removed: %s"
                                   % (lineno, key, REMOVED_REASON))
-            if key not in _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS:
+            if key not in KEYS:
                 raise ConfigError("line %d: unknown key %r" % (lineno, key))
             if not raw:
                 raise ConfigError("line %d: empty value for %r" % (lineno, key))
@@ -201,27 +189,21 @@ def parse_config(text, overrides=None):
 
 def build_spec(values, mode_rows=None):
     """Assemble an ExperimentSpec from a flat dict of typed values."""
-    for key in REMOVED_KEYS:
-        if key in values:
+    for key in values:
+        if key in REMOVED_KEYS:
             raise ConfigError("%r was removed: %s" % (key, REMOVED_REASON))
+        if key not in KEYS:
+            raise ConfigError("unknown key %r" % key)
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError("missing required keys: %s" % ", ".join(missing))
     try:
         table = (ModeTable.from_rows(mode_rows) if mode_rows
                  else default_mode_table())
-        sys_kwargs = {k: values[k] for k in
-                      ("snr_avg_db", "alpha", "f_m_hz", "t_b_s", "w_hz",
-                       "n_b_bits") if k in values}
-        system = SystemConfig(modes=table, **sys_kwargs)
-        controls = NetcalControls(**{k: values[k] for k in
-                                     ("resolution_blocks", "tau_slots")
-                                     if k in values})
-        spec_kwargs = {k: values[k] for k in
-                       ("epsilon", "d_guarantee_slots", "sweep_axis",
-                        "sweep_start", "sweep_stop", "sweep_step", "validate",
-                        "validate_slots", "seed", "output") if k in values}
-        return ExperimentSpec(system=system, controls=controls, **spec_kwargs)
+        system = SystemConfig(modes=table, **{k: v for k, v in values.items()
+                                              if k in _SYSTEM_KEYS})
+        return ExperimentSpec(system=system, **{k: v for k, v in values.items()
+                                                if k not in _SYSTEM_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -239,9 +221,8 @@ def _point_inputs(spec, value):
     return cfg, eps, d_g
 
 
-def evaluate_point(spec, value, seed_seq=None, model=None):
-    """Compute one sweep point; returns (row_dict, model) so a caller
-    sweeping a queue-only axis can reuse the channel model."""
+def evaluate_point(spec, value, seed_seq=None):
+    """Compute one sweep point on its own channel model; returns the row dict."""
     cfg, eps, d_g = _point_inputs(spec, value)
     row = {c: "" for c in CSV_COLUMNS}
     row["axis"] = spec.sweep_axis or "none"
@@ -252,15 +233,13 @@ def evaluate_point(spec, value, seed_seq=None, model=None):
     row["epsilon"] = eps
     row["delay_guarantee_slots"] = d_g
     try:
-        if model is None:
-            model = build_fsmc(cfg, solve_fixed_point(cfg))
-        ctl = spec.controls
+        model = build_fsmc(cfg, solve_fixed_point(cfg))
         result = delay_constrained_throughput(
             cfg, model, epsilon=eps, d_guarantee_slots=d_g,
-            resolution_blocks=ctl.resolution_blocks, tau_slots=ctl.tau_slots)
+            resolution_blocks=spec.resolution_blocks, tau_slots=spec.tau_slots)
     except SlowFadingViolation as exc:
         row["error"] = str(exc)
-        return row, None
+        return row
     row["beta"] = 1.0 / model.gamma_bar
     row["gamma_bar"] = model.gamma_bar
     row["capacity_limit_bps"] = capacity_limit(cfg, model)
@@ -275,8 +254,8 @@ def evaluate_point(spec, value, seed_seq=None, model=None):
     row["capped"] = False       # no search cap; kept as perfbench/workloads.py reads it
     if spec.validate and result.lambda_blocks > 0:
         d_check = bound.d_slots if math.isfinite(bound.d_slots) else d_g
-        src = PeriodicSource(result.lambda_blocks * ctl.tau_slots,
-                             tau_slots=ctl.tau_slots)
+        src = PeriodicSource(result.lambda_blocks * spec.tau_slots,
+                             tau_slots=spec.tau_slots)
         rng_seed = seed_seq if seed_seq is not None else spec.seed
         trace = simulate_fifo_queue(model, src, spec.validate_slots,
                                     seed=np.random.default_rng(rng_seed))
@@ -286,12 +265,11 @@ def evaluate_point(spec, value, seed_seq=None, model=None):
         row["sim_epochs"] = trace.epochs
         if trace.unstable:
             row["error"] = "simulated queue exceeded backlog cap"
-    return row, model
+    return row
 
 
-def _worker(args):
-    spec, value, seed_seq = args
-    return evaluate_point(spec, value, seed_seq=seed_seq)[0]
+def _worker(payload):
+    return evaluate_point(*payload)
 
 
 def run_experiment(spec, workers=1):
@@ -303,20 +281,11 @@ def run_experiment(spec, workers=1):
         raise ConfigError("workers must be at least 1, got %r" % (workers,))
     values = spec.sweep_values()
     children = np.random.SeedSequence(spec.seed).spawn(len(values))
+    payloads = [(spec, v, c) for v, c in zip(values, children)]
     if workers > 1 and len(values) > 1:
-        payloads = [(spec, v, c) for v, c in zip(values, children)]
         with ProcessPoolExecutor(max_workers=min(workers, len(values))) as pool:
             return list(pool.map(_worker, payloads))
-    rows = []
-    model = None
-    reuse = spec.sweep_axis in ("delay_guarantee", "epsilon", "")
-    for value, child in zip(values, children):
-        row, m = evaluate_point(spec, value, seed_seq=child,
-                                model=model if reuse else None)
-        if reuse and m is not None:
-            model = m
-        rows.append(row)
-    return rows
+    return list(map(_worker, payloads))
 
 
 def _fmt(x):
@@ -335,27 +304,16 @@ def metadata_lines(spec):
     """Commented header lines describing the run; one line carries the
     generation timestamp and nothing else, so reproducibility comparisons
     can drop it."""
-    cfg, ctl = spec.system, spec.controls
     lines = [
         "# tool = cdmacal %s" % _version,
         "# generated %s" % datetime.datetime.now(datetime.timezone.utc)
                                    .strftime("%Y-%m-%dT%H:%M:%SZ"),
     ]
-    for key, val in (
-        ("snr_avg_db", cfg.snr_avg_db), ("alpha", cfg.alpha),
-        ("f_m_hz", cfg.f_m_hz), ("t_b_s", cfg.t_b_s), ("w_hz", cfg.w_hz),
-        ("n_b_bits", cfg.n_b_bits), ("epsilon", spec.epsilon),
-        ("d_guarantee_slots", spec.d_guarantee_slots),
-        ("resolution_blocks", ctl.resolution_blocks),
-        ("tau_slots", ctl.tau_slots), ("seed", spec.seed),
-        ("validate", spec.validate), ("validate_slots", spec.validate_slots),
-    ):
-        lines.append("# %s = %s" % (key, _fmt(val)))
-    if spec.sweep_axis:
-        lines.append("# sweep_axis = %s" % spec.sweep_axis)
-        for key in ("sweep_start", "sweep_stop", "sweep_step"):
-            lines.append("# %s = %s" % (key, _fmt(getattr(spec, key))))
-    for mode in cfg.modes.modes:
+    for key in KEYS:
+        if key != "output" and (spec.sweep_axis or not key.startswith("sweep_")):
+            owner = spec.system if key in _SYSTEM_KEYS else spec
+            lines.append("# %s = %s" % (key, _fmt(getattr(owner, key))))
+    for mode in spec.system.modes.modes:
         lines.append("# mode %d = %s rate=%s threshold_db=%s"
                      % (mode.index, mode.label, _fmt(mode.rate_bps_hz),
                         _fmt(mode.threshold_db)))
@@ -365,17 +323,8 @@ def metadata_lines(spec):
     return lines
 
 
-def write_csv(spec, rows, fh):
-    """Write metadata header plus one CSV row per sweep point."""
-    for line in metadata_lines(spec):
-        fh.write(line + "\n")
-    fh.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(row[c]) if row[c] != "" else ""
-                          for c in CSV_COLUMNS) + "\n")
-
-
 def render_csv(spec, rows):
-    buf = io.StringIO()
-    write_csv(spec, rows, buf)
-    return buf.getvalue()
+    """Metadata header plus one CSV row per sweep point, as text."""
+    lines = metadata_lines(spec) + [",".join(CSV_COLUMNS)]
+    lines += [",".join(_fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"

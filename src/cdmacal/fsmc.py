@@ -26,7 +26,7 @@ def level_crossing_rate(gamma, gamma_bar, f_m_hz):
     """Expected downward crossings per second of level gamma by Rayleigh fading."""
     if not gamma_bar > 0:
         raise ValueError("gamma_bar must be positive")
-    if f_m_hz < 0:
+    if not f_m_hz >= 0:
         raise ValueError("f_m_hz must be nonnegative")
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):

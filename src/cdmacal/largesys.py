@@ -21,6 +21,7 @@ import numpy as np
 
 from ._search import find_root
 from .amc import ModeTable, default_mode_table
+from .errors import whole_number
 from .units import db_to_linear
 
 # Truncation for the interference integral: contributions outside
@@ -52,14 +53,13 @@ class SystemConfig:
             raise ValueError("snr_avg_db must be finite")
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if self.f_m_hz < 0:
+        if not self.f_m_hz >= 0:
             raise ValueError("f_m_hz must be nonnegative")
         if not 0 < self.t_b_s < math.inf:
             raise ValueError("t_b_s must be positive")
         if not 0 < self.w_hz < math.inf:
             raise ValueError("w_hz must be positive")
-        if int(self.n_b_bits) != self.n_b_bits or self.n_b_bits <= 0:
-            raise ValueError("n_b_bits must be a positive integer")
+        whole_number("n_b_bits", self.n_b_bits, 1)
 
     @property
     def sigma2(self):

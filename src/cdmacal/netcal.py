@@ -51,6 +51,7 @@ import math
 import numpy as np
 
 from ._search import find_root, minimize_bounded
+from .errors import whole_number
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ class PeriodicSource:
     def __post_init__(self):
         if not (self.delta_blocks >= 0 and math.isfinite(self.delta_blocks)):
             raise ValueError("delta_blocks must be nonnegative and finite")
-        if int(self.tau_slots) != self.tau_slots or self.tau_slots < 1:
-            raise ValueError("tau_slots must be a positive integer")
+        whole_number("tau_slots", self.tau_slots, 1)
 
     @property
     def mean_rate_blocks(self):
@@ -134,12 +134,11 @@ def service_log_mgf(model, theta, t):
     theta may be an array; the result has its shape.
     """
     theta = _check_theta(theta)
-    if int(t) != t or t < 0:
-        raise ValueError("t must be a nonnegative integer")
+    t = whole_number("t", t, 0)
     if t == 0:
         out = np.zeros(theta.shape)
     else:
-        out = np.logaddexp.reduce(_log_w(model, theta, int(t)), axis=-1)
+        out = np.logaddexp.reduce(_log_w(model, theta, t), axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -147,8 +146,7 @@ def log_violation_bound(source, model, theta, d_slots):
     """ln F_theta(d) for an integer d >= 1 by the closed form; +inf where
     theta lies outside the stable set."""
     theta = float(_check_theta(theta))
-    if int(d_slots) != d_slots or d_slots < 1:
-        raise ValueError("d_slots must be a positive integer")
+    d_slots = whole_number("d_slots", d_slots, 1)
     _, lpd = _log_kernel(model, theta)
     n = lpd.shape[0]
     log_b = source.log_mgf(theta, np.arange(1, source.tau_slots))
@@ -167,7 +165,7 @@ def log_violation_bound(source, model, theta, d_slots):
         z = sum(ph @ y for ph in phases)
     if not np.all(z < math.inf):
         return math.inf
-    return float(np.logaddexp.reduce(_log_w(model, theta, int(d_slots)) + np.log(z)))
+    return float(np.logaddexp.reduce(_log_w(model, theta, d_slots) + np.log(z)))
 
 
 def _log_stability(source, model, theta):
@@ -310,13 +308,12 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     the bound; the delay bound reported at the returned point is searched
     in (0, d_guarantee], which is known to certify.
     """
-    if int(d_guarantee_slots) != d_guarantee_slots or d_guarantee_slots < 0:
-        raise ValueError("d_guarantee_slots must be a nonnegative integer")
+    d_g = whole_number("d_guarantee_slots", d_guarantee_slots, 0)
     if not resolution_blocks > 0:
         raise ValueError("resolution_blocks must be positive")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    log_eps, d_g = math.log(epsilon), int(d_guarantee_slots)
+    log_eps = math.log(epsilon)
 
     def source(k):
         return PeriodicSource(k * resolution_blocks * tau_slots, tau_slots)

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import whole_number
 from .fsmc import FsmcModel
 from .netcal import PeriodicSource
 
@@ -59,16 +60,9 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     return sinr, p1
 
 
-def _whole(name, x, lo, hi=math.inf):
-    """x as an int when it is a whole number in [lo, hi]; else a ValueError."""
-    if not (math.isfinite(x) and int(x) == x and lo <= x <= hi):
-        raise ValueError(f"{name} must be a whole number in [{lo}, {hi}]: {x!r}")
-    return int(x)
-
-
 def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     """Simulate the mode chain for n_slots from init_state, or else from pi."""
-    n_slots = _whole("n_slots", n_slots, 0)
+    n_slots = whole_number("n_slots", n_slots, 0)
     rng = np.random.default_rng(seed)
     out = np.empty(n_slots, dtype=np.int64)
     if n_slots == 0:
@@ -82,7 +76,7 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
         state = int(min(np.searchsorted(cum, rng.random(), side="right"),
                         n_states - 1))
     else:
-        state = _whole("init_state", init_state, 0, n_states - 1)
+        state = whole_number("init_state", init_state, 0, n_states - 1)
     out[0] = state
     u = rng.random(n_slots - 1)
     lo_s, mid_s = lo[state], mid[state]
@@ -149,7 +143,7 @@ def simulate_fifo_queue(model: FsmcModel, source: PeriodicSource, n_slots,
     and the first epoch not yet departed into the next chunk, so memory
     beyond one delay per epoch does not grow with n_slots.
     """
-    n_slots = _whole("n_slots", n_slots, 1)
+    n_slots = whole_number("n_slots", n_slots, 1)
     if not backlog_cap >= 0:
         raise ValueError("backlog_cap must be a nonnegative number or inf")
     rng = np.random.default_rng(seed)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from cdmacal.cli import main
+from cdmacal.cli import _build_spec, build_parser, main
+from cdmacal.experiment import KEYS
 
 POINT_ARGS = ["--snr-avg-db", "6", "--alpha", "0.5", "--f-m-hz", "20"]
 
@@ -176,3 +177,84 @@ def test_cli_reproducible(tmp_path):
     strip = lambda p: [l for l in _read(p).splitlines()
                        if not l.startswith("# generated")]
     assert strip(a) == strip(b)
+
+
+def test_nan_doppler_exits_one(capsys):
+    code = main(["solve", "--snr-avg-db", "6", "--alpha", "0.5",
+                 "--f-m-hz", "nan"])
+    assert code == 1
+    assert "f_m_hz" in capsys.readouterr().err
+
+
+def test_non_finite_sweep_bounds_exit_one(capsys):
+    for flag, name in (("--sweep-stop", "sweep_stop"),
+                       ("--sweep-step", "sweep_step")):
+        argv = dict([("--sweep-start", "0.01"), ("--sweep-stop", "0.02"),
+                     ("--sweep-step", "0.01")])
+        argv[flag] = "inf"
+        code = main(["sweep", *POINT_ARGS, "--sweep-axis", "epsilon",
+                     *[x for kv in argv.items() for x in kv]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "config error: %s must be finite\n" % name
+
+
+# One non-default value per run parameter, with the flag that sets it.
+FLAG_VALUES = {
+    "snr_avg_db": ("--snr-avg-db", "4"), "alpha": ("--alpha", "0.7"),
+    "f_m_hz": ("--f-m-hz", "30"), "t_b_s": ("--t-b-s", "1e-3"),
+    "w_hz": ("--w-hz", "1e7"), "n_b_bits": ("--n-b-bits", "5000"),
+    "epsilon": ("--epsilon", "0.05"),
+    "d_guarantee_slots": ("--d-guarantee", "40"),
+    "resolution_blocks": ("--resolution", "0.01"), "tau_slots": ("--tau", "3"),
+    "seed": ("--seed", "5"), "validate_slots": ("--validate-slots", "1000"),
+    "sweep_axis": ("--sweep-axis", "alpha"),
+    "sweep_start": ("--sweep-start", "0.005"),
+    "sweep_stop": ("--sweep-stop", "0.03"), "sweep_step": ("--sweep-step", "0.005"),
+    "output": ("--output", "elsewhere.csv"),
+}
+SWEEP_BASE = {"snr_avg_db": "6", "alpha": "0.5", "f_m_hz": "20",
+              "sweep_axis": "epsilon", "sweep_start": "0.01",
+              "sweep_stop": "0.02", "sweep_step": "0.01"}
+
+
+def _params(spec):
+    # every run parameter's value; ModeTable has no value equality
+    return {k: getattr(spec.system if hasattr(spec.system, k) else spec, k)
+            for k in KEYS}
+
+
+def test_each_flag_sets_its_config_key(tmp_path):
+    assert set(FLAG_VALUES) == set(KEYS) - {"validate"}
+    parser = build_parser()
+    cfgfile = tmp_path / "run.cfg"
+
+    def spec(values, via_file):
+        if via_file:
+            cfgfile.write_text("".join("%s = %s\n" % kv for kv in values.items()),
+                               encoding="utf-8")
+            argv = ["--config", str(cfgfile)]
+        else:
+            argv = [x for k, v in values.items() for x in (FLAG_VALUES[k][0], v)]
+        return _params(_build_spec(parser.parse_args(["sweep", *argv])))
+
+    base = spec(SWEEP_BASE, via_file=True)
+    for key, (_, value) in FLAG_VALUES.items():
+        values = {**SWEEP_BASE, key: value}
+        if key == "sweep_axis":
+            values.update(sweep_start="0.3", sweep_stop="0.9", sweep_step="0.3")
+        from_file = spec(values, via_file=True)
+        assert from_file == spec(values, via_file=False), key
+        assert from_file != base, key
+
+
+def test_validate_verb_matches_validate_key(tmp_path):
+    cfgfile = tmp_path / "v.cfg"
+    cfgfile.write_text("snr_avg_db = 6\nalpha = 0.5\nf_m_hz = 20\n"
+                       "validate = yes\n", encoding="utf-8")
+    parser = build_parser()
+    via_key = _params(_build_spec(parser.parse_args(["solve", "--config",
+                                                     str(cfgfile)])))
+    via_verb = _params(_build_spec(parser.parse_args(["validate", *POINT_ARGS])))
+    assert via_key["validate"] is True
+    assert via_key == via_verb

@@ -110,13 +110,23 @@ def test_sweep_validation():
     with pytest.raises(cc.ConfigError, match="sweep epsilon = 1: epsilon"):
         cc.parse_config(BASE + "sweep_axis = epsilon\nsweep_start = 0.5\n"
                         "sweep_stop = 1\nsweep_step = 0.5\n")
+    # NaN means unset; an infinite bound is refused by name
+    for key in ("sweep_start", "sweep_stop", "sweep_step"):
+        for bad in ("inf", "-inf"):
+            bounds = {"sweep_start": "0.01", "sweep_stop": "0.02",
+                      "sweep_step": "0.01", key: bad}
+            with pytest.raises(cc.ConfigError, match="%s must be finite" % key):
+                cc.parse_config(BASE + "sweep_axis = epsilon\n" + "".join(
+                    "%s = %s\n" % kv for kv in bounds.items()))
 
 
 def test_spec_validation_bounds():
     with pytest.raises(cc.ConfigError):
         cc.parse_config("snr_avg_db = 6\nalpha = 0.5\nf_m_hz = 20\nepsilon = 2\n")
-    with pytest.raises(cc.ConfigError):
-        cc.parse_config(BASE + "tau_slots = 0\n")
+    for tau in (0, 1.5, math.nan, math.inf):
+        with pytest.raises(cc.ConfigError, match="tau_slots must be a whole number"):
+            cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
+                           "tau_slots": tau})
     for res in ("0", "-1e-3", "inf", "nan"):
         with pytest.raises(cc.ConfigError, match="resolution_blocks"):
             cc.parse_config(BASE + "resolution_blocks = %s\n" % res)
@@ -134,6 +144,12 @@ def test_spec_validation_bounds():
         with pytest.raises(cc.ConfigError, match="'%s' was removed" % key):
             cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
                            key: 1})
+
+
+def test_build_spec_refuses_unknown_key_by_name():
+    with pytest.raises(cc.ConfigError, match="unknown key 'snr_db'"):
+        cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
+                       "snr_db": 4.0})
 
 
 def test_single_point_run_row_contents(ref_model):
@@ -206,11 +222,17 @@ def test_point_error_is_reported_not_raised():
     assert rows[0]["throughput_blocks"] == ""
 
 
-def test_evaluate_point_reuse_matches_fresh(ref_model):
-    spec = cc.parse_config(BASE)
-    row1, model = evaluate_point(spec, None, seed_seq=1)
-    row2, _ = evaluate_point(spec, None, seed_seq=1, model=model)
-    assert row1 == row2
+def test_run_experiment_rows_match_evaluate_point():
+    # the one run path: each row is evaluate_point at its child seed; at
+    # epsilon 0.3 the simulated violation frequencies tell the seeds apart
+    spec = cc.parse_config(BASE + "epsilon = 0.3\nsweep_axis = delay_guarantee\n"
+                           "sweep_start = 10\nsweep_stop = 20\nsweep_step = 10\n"
+                           "validate = true\nvalidate_slots = 20000\n")
+    children = np.random.SeedSequence(spec.seed).spawn(2)
+    rows = cc.run_experiment(spec)
+    assert rows == [evaluate_point(spec, v, seed_seq=c)
+                    for v, c in zip([10, 20], children)]
+    assert all(r["sim_violation_freq"] > 0 for r in rows)
 
 
 def test_metadata_lists_sweep_block():

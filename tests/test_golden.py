@@ -1,0 +1,34 @@
+"""CLI output against committed golden files, byte for byte.
+
+Only the ``# generated`` timestamp line is dropped before comparing.  A
+change that is meant to move a number regenerates a file by running the
+case's argv with ``--output tests/golden/<name>.csv`` and says why.
+"""
+from pathlib import Path
+import re
+
+from cdmacal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+POINT_ARGS = ["--snr-avg-db", "6", "--alpha", "0.5", "--f-m-hz", "20"]
+CASES = {
+    "solve": ["solve", *POINT_ARGS],
+    "validate": ["validate", *POINT_ARGS, "--tau", "5",
+                 "--validate-slots", "20000", "--seed", "7"],
+    "sweep_alpha": ["sweep", *POINT_ARGS, "--sweep-axis", "alpha",
+                    "--sweep-start", "0.5", "--sweep-stop", "1.0",
+                    "--sweep-step", "0.5"],
+    "thresholds": ["thresholds"],
+}
+
+
+def _untimed(data):
+    return re.sub(rb"(?m)^# generated [^\n]*\n", b"", data)
+
+
+def test_cli_output_matches_golden_files(tmp_path):
+    for name, argv in CASES.items():
+        out = tmp_path / (name + ".csv")
+        assert main([*argv, "--output", str(out)]) == 0, name
+        want = (GOLDEN / (name + ".csv")).read_bytes()
+        assert _untimed(out.read_bytes()) == _untimed(want), name

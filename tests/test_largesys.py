@@ -129,13 +129,17 @@ def test_snr_pdf_normalizes_with_correct_mean(ref_cfg, ref_channel):
 def test_config_validation():
     with pytest.raises(ValueError):
         cc.SystemConfig(snr_avg_db=6.0, alpha=0.0, f_m_hz=20.0)
-    with pytest.raises(ValueError):
-        cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="f_m_hz must be nonnegative"):
+            cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=bad)
+        with pytest.raises(ValueError, match="f_m_hz must be nonnegative"):
+            cc.level_crossing_rate(1.0, 1.0, bad)
     with pytest.raises(ValueError):
         cc.SystemConfig(snr_avg_db=math.nan, alpha=0.5, f_m_hz=20.0)
     with pytest.raises(ValueError):
         cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0, t_b_s=0.0)
-    with pytest.raises(ValueError):
-        cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0, n_b_bits=0)
+    for bad in (0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_b_bits must be a whole number"):
+            cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0, n_b_bits=bad)
     with pytest.raises(ValueError):
         interference_integral(-1.0)

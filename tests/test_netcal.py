@@ -458,3 +458,18 @@ def test_throughput_input_validation(ref_cfg, ref_model):
         with pytest.raises(ValueError):
             cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=eps,
                                             d_guarantee_slots=10)
+
+
+def test_whole_number_arguments_refused_by_name(ref_cfg, ref_model):
+    src = cc.PeriodicSource(1.0)
+    calls = {
+        "tau_slots": lambda x: cc.PeriodicSource(1.0, tau_slots=x),
+        "t": lambda x: cc.service_log_mgf(ref_model, 0.1, x),
+        "d_slots": lambda x: cc.log_violation_bound(src, ref_model, 0.1, x),
+        "d_guarantee_slots": lambda x: cc.delay_constrained_throughput(
+            ref_cfg, ref_model, epsilon=1e-2, d_guarantee_slots=x),
+    }
+    for name, call in calls.items():
+        for bad in (math.nan, math.inf, -math.inf, 1.5):
+            with pytest.raises(ValueError, match="%s must be a whole number" % name):
+                call(bad)
