@@ -32,10 +32,10 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     s1^H M^-1 s1 = (|s1|^2 - y^H (sigma2 I + A^H A)^-1 y) / sigma2 with
     y = A^H s1, a batched solve of order k - 1 instead of m.
     """
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be positive integers")
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
+    m, k = whole_number("m", m, 1), whole_number("k", k, 1)
+    n, chunk = whole_number("n", n, 0), whole_number("chunk", chunk, 1)
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite: {sigma2!r}")
     rng = np.random.default_rng(seed)
     sinr = np.empty(n)
     p1 = np.empty(n)
@@ -60,8 +60,18 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     return sinr, p1
 
 
+# Slots per block of the chain's prefix scan.
+_BLOCK = 64
+
+
 def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
-    """Simulate the mode chain for n_slots from init_state, or else from pi."""
+    """Simulate the mode chain for n_slots from init_state, or else from pi.
+
+    Slot t's draw u maps state s to s - 1 if u < P[s, s-1], to s + 1 if
+    u >= P[s, s-1] + P[s, s]; these maps compose, so the path is a prefix
+    scan.  Each block of ``_BLOCK`` slots steps all L start states at once,
+    then the block ends are chained: the same path as a per-slot walk.
+    """
     n_slots = whole_number("n_slots", n_slots, 0)
     rng = np.random.default_rng(seed)
     out = np.empty(n_slots, dtype=np.int64)
@@ -69,26 +79,29 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
         return out
     p = model.transition
     n_states = model.n_states
-    lo = [float(p[s, s - 1]) if s > 0 else 0.0 for s in range(n_states)]
-    mid = [lo[s] + float(p[s, s]) for s in range(n_states)]
     if init_state is None:
         cum = np.cumsum(model.pi)
         state = int(min(np.searchsorted(cum, rng.random(), side="right"),
                         n_states - 1))
     else:
         state = whole_number("init_state", init_state, 0, n_states - 1)
+    m = n_slots - 1
+    blk = max(1, min(_BLOCK, m))
+    nb = -(-m // blk)
+    # NaN pads the last block; its pad slots follow the path's end and are cut
+    pad = np.full(nb * blk - m, np.nan)
+    u = np.append(rng.random(m), pad).reshape(nb, blk).T[:, :, None]
+    lo = np.append(0.0, np.diagonal(p, -1))
+    mid = lo + np.diagonal(p)
+    s = np.arange(n_states, dtype=np.min_scalar_type(n_states))
+    seen = np.empty((blk, nb, n_states), dtype=s.dtype)
+    for j, uj in enumerate(u):
+        seen[j] = s = s - (uj < lo[s]) + (uj >= mid[s])
+    starts = [state]
+    for row in seen[-1].tolist():
+        starts.append(row[starts[-1]])
     out[0] = state
-    u = rng.random(n_slots - 1)
-    lo_s, mid_s = lo[state], mid[state]
-    for t in range(1, n_slots):
-        ut = u[t - 1]
-        if ut < lo_s:
-            state -= 1
-            lo_s, mid_s = lo[state], mid[state]
-        elif ut >= mid_s:
-            state += 1
-            lo_s, mid_s = lo[state], mid[state]
-        out[t] = state
+    out[1:] = seen[:, np.arange(nb), starts[:-1]].T.reshape(-1)[:m]
     return out
 
 

@@ -6,12 +6,12 @@ exhaustive path enumeration for the service MGF, a dense ``logsumexp``
 matrix-vector recursion for the service MGF table, truncated sums with a
 geometric tail bound for the delay bound, bisection for the large-system
 fixed point, arbitrary precision for the interference integral's closed
-form, a direct m x m solve for the finite-system SINR, and one-dimensional
-adaptive quadrature of the PAM sums for the constellation capacity.  The
-FIFO queue is the exception: it reuses the library's chain path and
-replays the departures over whole-path arrays instead of chunks.  The
-exponential SNR density and the dB conversion are the textbook formulas
-the pipeline is built on, kept here because only tests read them.
+form, a direct m x m solve for the finite-system SINR, one-dimensional
+adaptive quadrature of the PAM sums for the constellation capacity, a
+per-slot walk for the chain path, and whole-path arrays instead of chunks
+for the FIFO queue's departures.  The exponential SNR density and the dB
+conversion are the textbook formulas the pipeline is built on, kept here
+because only tests read them.
 """
 import math
 
@@ -219,6 +219,34 @@ def linear_to_db(x):
     return out if out.ndim else float(out)
 
 
+def fsmc_path_loop(model, n_slots, seed=None, init_state=None):
+    """Mode-chain path by one Python step per slot, from the same draws as
+    ``simulate_fsmc``: one uniform for the start state when init_state is
+    None, then one per slot after the first."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_slots, dtype=np.int64)
+    if n_slots == 0:
+        return out
+    p = model.transition
+    n_states = model.n_states
+    lo = [float(p[s, s - 1]) if s > 0 else 0.0 for s in range(n_states)]
+    mid = [lo[s] + float(p[s, s]) for s in range(n_states)]
+    if init_state is None:
+        cum = np.cumsum(model.pi)
+        state = int(min(np.searchsorted(cum, rng.random(), side="right"),
+                        n_states - 1))
+    else:
+        state = init_state
+    out[0] = state
+    for t, ut in enumerate(rng.random(n_slots - 1).tolist(), start=1):
+        if ut < lo[state]:
+            state -= 1
+        elif ut >= mid[state]:
+            state += 1
+        out[t] = state
+    return out
+
+
 def fifo_queue_whole_array(model, source, n_slots, seed=None,
                            backlog_cap=1e9):
     """Slotted FIFO queue over whole-path arrays, with a drain of at most
@@ -228,12 +256,10 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None,
     over the whole arrival window, not just up to the cut."""
     from types import SimpleNamespace
 
-    import cdmacal as cc
-
     rng = np.random.default_rng(seed)
     drain_slot_cap = n_slots
     phase = 0 if source.tau_slots == 1 else int(rng.integers(source.tau_slots))
-    states = cc.simulate_fsmc(model, n_slots, seed=rng)
+    states = fsmc_path_loop(model, n_slots, seed=rng)
     rates = model.rates_blocks
 
     delta = source.delta_blocks
@@ -279,8 +305,8 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None,
             mean_rate = max(float(model.pi @ rates), 1e-12)
             need = int(min(drain_slot_cap - extra_used,
                            max(1024, 1.5 * (total - d_arr[-1]) / mean_rate)))
-            more = cc.simulate_fsmc(model, need + 1, seed=rng,
-                                    init_state=int(states[-1]))[1:]
+            more = fsmc_path_loop(model, need + 1, seed=rng,
+                                  init_state=int(states[-1]))[1:]
             states = np.concatenate((states, more))
             cs = np.cumsum(rates[states])
             extra_used += need

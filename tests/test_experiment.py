@@ -173,7 +173,7 @@ def test_single_point_run_row_contents(ref_model):
         0.5 * row["throughput_blocks"] * 10_000 / 2e-3)
 
 
-def test_sweep_reuses_channel_model():
+def test_guarantee_sweep_keeps_one_channel():
     spec = cc.parse_config(BASE + "sweep_axis = delay_guarantee\n"
                            "sweep_start = 50\nsweep_stop = 150\nsweep_step = 50\n")
     rows = cc.run_experiment(spec)

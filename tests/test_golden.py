@@ -4,6 +4,7 @@ Only the ``# generated`` timestamp line is dropped before comparing.  A
 change that is meant to move a number regenerates a file by running the
 case's argv with ``--output tests/golden/<name>.csv`` and says why.
 """
+import csv
 from pathlib import Path
 import re
 
@@ -15,6 +16,11 @@ CASES = {
     "solve": ["solve", *POINT_ARGS],
     "validate": ["validate", *POINT_ARGS, "--tau", "5",
                  "--validate-slots", "20000", "--seed", "7"],
+    # a loose guarantee that the simulated queue does violate, over more
+    # slots than one queue chunk, so a moved chain path shows in the bytes
+    "validate_violations": ["validate", *POINT_ARGS, "--epsilon", "0.3",
+                            "--d-guarantee", "10", "--tau", "5",
+                            "--validate-slots", "70000", "--seed", "7"],
     "sweep_alpha": ["sweep", *POINT_ARGS, "--sweep-axis", "alpha",
                     "--sweep-start", "0.5", "--sweep-stop", "1.0",
                     "--sweep-step", "0.5"],
@@ -32,3 +38,10 @@ def test_cli_output_matches_golden_files(tmp_path):
         assert main([*argv, "--output", str(out)]) == 0, name
         want = (GOLDEN / (name + ".csv")).read_bytes()
         assert _untimed(out.read_bytes()) == _untimed(want), name
+
+
+def test_validate_golden_case_has_violations():
+    text = (GOLDEN / "validate_violations.csv").read_text()
+    rows = csv.DictReader(line for line in text.splitlines()
+                          if not line.startswith("#"))
+    assert [float(r["sim_violation_freq"]) > 0 for r in rows] == [True]

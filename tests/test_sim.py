@@ -1,6 +1,7 @@
 """Simulator checks: distributional sanity for the finite-system sampler
-and the channel paths, exact hand-worked cases for the FIFO queue, and the
-chunked queue held to the whole-array reference in ``oracles``."""
+and the channel paths, the scanned chain path held slot for slot to a
+per-slot walk, exact hand-worked cases for the FIFO queue, and the chunked
+queue held to the whole-array reference in ``oracles``."""
 import itertools
 import math
 import tracemalloc
@@ -14,7 +15,8 @@ import cdmacal as cc
 from cdmacal import sim
 
 from conftest import single_state_model
-from oracles import fifo_queue_whole_array, finite_sinr_direct
+from oracles import (fifo_queue_whole_array, finite_sinr_direct,
+                     fsmc_path_loop)
 
 
 def test_single_user_is_matched_filter():
@@ -50,6 +52,16 @@ def test_finite_sinr_single_draw_and_validation():
         cc.sample_finite_sinr_batch(0, 1, 0.5, 1)
     with pytest.raises(ValueError):
         cc.sample_finite_sinr_batch(8, 2, 0.0, 1)
+    assert cc.sample_finite_sinr_batch(8, 2, 0.5, 0)[0].shape == (0,)
+    bad_args = {"m": (8.5, math.nan, 0), "k": (0, 2.5, math.inf),
+                "n": (-1, 2.5, math.nan), "chunk": (0, -2, 1.5),
+                "sigma2": (math.inf, math.nan, -1.0)}
+    for name, values in bad_args.items():
+        for bad in values:
+            args = {"m": 8, "k": 2, "sigma2": 0.5, "n": 3, "chunk": 2,
+                    name: bad}
+            with pytest.raises(ValueError, match=name):
+                cc.sample_finite_sinr_batch(**args)
 
 
 def test_chain_paths_reproduce_stationary_law(ref_model):
@@ -86,6 +98,28 @@ def test_zero_doppler_path_is_constant():
     model = cc.build_fsmc(cfg, cc.solve_fixed_point(cfg))
     states = cc.simulate_fsmc(model, 5000, seed=2)
     assert np.all(states == states[0])
+
+
+def test_chain_scan_matches_per_slot_walk(ref_model):
+    blk = sim._BLOCK
+    zero_doppler = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=0.0)
+    two_modes = cc.SystemConfig(
+        snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0,
+        modes=cc.ModeTable.from_rows(((0, "bpsk", 0.0, -math.inf),
+                                      (1, "qpsk", 1.0, 3.0))))
+    models = [ref_model, single_state_model(2.0)]
+    models += [cc.build_fsmc(cfg, cc.solve_fixed_point(cfg))
+               for cfg in (zero_doppler, two_modes)]
+    assert models[-1].n_states == 2
+    for model in models:
+        last = model.n_states - 1
+        for n in (0, 1, 2, blk - 1, blk, blk + 1, 2 * blk + 1, 65537):
+            for init, seed in itertools.product((None, 0, last), (0, 5, 11)):
+                got = cc.simulate_fsmc(model, n, seed=seed, init_state=init)
+                want = fsmc_path_loop(model, n, seed=seed, init_state=init)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (model.n_states, n, init,
+                                                   seed)
 
 
 def test_chain_reproducible_and_seed_sensitive(ref_model):
