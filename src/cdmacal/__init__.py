@@ -6,7 +6,7 @@ post-detection SNR scale, a birth-death Markov chain over the modulation
 modes turns Doppler into slot-level service, and a moment-generating-
 function bound turns that service into probabilistic delay guarantees and
 the largest arrival rate that honors them.  Monte Carlo counterparts check
-every analytical stage.
+the channel and queueing stages.
 """
 __version__ = "0.1.0"
 
@@ -24,8 +24,7 @@ from .netcal import (DelayBoundResult, PeriodicSource, ThroughputResult,
                      capacity_limit, delay_bound,
                      delay_constrained_throughput, log_violation_bound,
                      service_log_mgf)
-from .sim import (QueueTrace, sample_finite_sinr_batch, simulate_fifo_queue,
-                  simulate_fsmc)
+from .sim import QueueTrace, simulate_fifo_queue, simulate_fsmc
 from .units import db_to_linear
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "DelayBoundResult", "PeriodicSource", "ThroughputResult",
     "capacity_limit", "delay_bound",
     "delay_constrained_throughput", "log_violation_bound", "service_log_mgf",
-    "QueueTrace", "sample_finite_sinr_batch", "simulate_fifo_queue",
-    "simulate_fsmc", "db_to_linear",
+    "QueueTrace", "simulate_fifo_queue", "simulate_fsmc", "db_to_linear",
     "__version__",
 ]

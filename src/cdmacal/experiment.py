@@ -17,8 +17,7 @@ from .amc import ModeTable, default_mode_table
 from .errors import ConfigError, SlowFadingViolation, whole_number
 from .fsmc import build_fsmc
 from .largesys import SystemConfig, solve_fixed_point
-from .netcal import (PeriodicSource, capacity_limit,
-                     delay_constrained_throughput)
+from .netcal import PeriodicSource, delay_constrained_throughput
 from .sim import simulate_fifo_queue
 
 SWEEP_AXES = ("delay_guarantee", "epsilon", "snr_avg_db", "alpha", "f_m_hz")
@@ -87,10 +86,11 @@ class ExperimentSpec:
                 except ValueError as exc:
                     raise ValueError("sweep %s = %s: %s"
                                      % (self.sweep_axis, _fmt(value), exc)) from exc
-        if self.validate_slots < 1:
-            raise ValueError("validate_slots must be positive")
+        whole_number("validate_slots", self.validate_slots, 1)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        # SeedSequence takes only an int, so a whole float is stored as one
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
     def sweep_values(self):
         """The axis values this run covers; a single None for a point run."""
@@ -107,8 +107,7 @@ class ExperimentSpec:
 def _check_point(epsilon, d_guarantee_slots):
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if d_guarantee_slots < 0:
-        raise ValueError("d_guarantee_slots must be nonnegative")
+    whole_number("d_guarantee_slots", d_guarantee_slots, 0)
 
 
 def _scalar_fields(cls):
@@ -242,7 +241,7 @@ def evaluate_point(spec, value, seed_seq=None):
         return row
     row["beta"] = 1.0 / model.gamma_bar
     row["gamma_bar"] = model.gamma_bar
-    row["capacity_limit_bps"] = capacity_limit(cfg, model)
+    row["capacity_limit_bps"] = result.c_lim_bps
     row["throughput_blocks"] = result.lambda_blocks
     row["throughput_bps"] = result.lambda_bps
     bound = result.delay_at_lambda
@@ -263,8 +262,6 @@ def evaluate_point(spec, value, seed_seq=None):
         row["sim_violation_freq"] = freq
         row["sim_violation_se"] = se
         row["sim_epochs"] = trace.epochs
-        if trace.unstable:
-            row["error"] = "simulated queue exceeded backlog cap"
     return row
 
 

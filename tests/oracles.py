@@ -11,13 +11,17 @@ adaptive quadrature of the PAM sums for the constellation capacity, a
 per-slot walk for the chain path, and whole-path arrays instead of chunks
 for the FIFO queue's departures.  The exponential SNR density and the dB
 conversion are the textbook formulas the pipeline is built on, kept here
-because only tests read them.
+because only tests read them.  The finite-system SINR sampler is a Monte
+Carlo check of the large-system fixed point that only tests call, so it
+lives here too, next to its direct-solve reference.
 """
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
+
+from cdmacal.errors import whole_number
 
 
 def arrival_log_mgf_enumeration(delta, tau, theta, t):
@@ -154,6 +158,44 @@ def interference_integral_closed_form(beta, dps=40):
         return float(b * (1 - b * mp.exp(b) * mp.e1(b)))
 
 
+def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
+    """Draw n finite-system SINR samples; returns (sinr, p1) arrays.
+
+    Signatures are i.i.d. CN(0, I/m) columns, channel gains CN(0, 1); the
+    tagged user's SINR is p1 * s1^H M^-1 s1 with M = sigma2 I + A A^H the
+    interference-plus-noise covariance over users 2..k (A = columns
+    sqrt(p_j) s_j).  By the Woodbury identity
+    s1^H M^-1 s1 = (|s1|^2 - y^H (sigma2 I + A^H A)^-1 y) / sigma2 with
+    y = A^H s1, a batched solve of order k - 1 instead of m.
+    """
+    m, k = whole_number("m", m, 1), whole_number("k", k, 1)
+    n, chunk = whole_number("n", n, 0), whole_number("chunk", chunk, 1)
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite: {sigma2!r}")
+    rng = np.random.default_rng(seed)
+    sinr = np.empty(n)
+    p1 = np.empty(n)
+    done = 0
+    eye = sigma2 * np.eye(k - 1)
+    while done < n:
+        c = min(chunk, n - done)
+        s = (rng.standard_normal((c, m, k)) + 1j * rng.standard_normal((c, m, k)))
+        s /= math.sqrt(2 * m)
+        h = (rng.standard_normal((c, k)) + 1j * rng.standard_normal((c, k))) / math.sqrt(2)
+        p = np.abs(h) ** 2
+        a = s[:, :, 1:] * np.sqrt(p[:, None, 1:])
+        a_h = a.conj().transpose(0, 2, 1)
+        s1 = s[:, :, 0]
+        y = a_h @ s1[:, :, None]
+        x = np.linalg.solve(a_h @ a + eye, y)
+        quad = (np.sum(np.abs(s1) ** 2, axis=1)
+                - np.real(np.sum(y.conj() * x, axis=(1, 2)))) / sigma2
+        sinr[done:done + c] = p[:, 0] * quad
+        p1[done:done + c] = p[:, 0]
+        done += c
+    return sinr, p1
+
+
 def finite_sinr_direct(m, k, sigma2, n, seed):
     """(sinr, p1) from the same draws as ``sample_finite_sinr_batch`` in one
     chunk, with p1 s1^H (sigma2 I + A A^H)^-1 s1 by a direct m x m solve."""
@@ -247,13 +289,11 @@ def fsmc_path_loop(model, n_slots, seed=None, init_state=None):
     return out
 
 
-def fifo_queue_whole_array(model, source, n_slots, seed=None,
-                           backlog_cap=1e9):
+def fifo_queue_whole_array(model, source, n_slots, seed=None):
     """Slotted FIFO queue over whole-path arrays, with a drain of at most
     n_slots extra slots drawn in growing blocks: the library's queue before
     it became one chunked loop.  Returns the QueueTrace fields as a
-    namespace; on a run cut at the backlog cap, ``backlog_peak`` is the peak
-    over the whole arrival window, not just up to the cut."""
+    namespace."""
     from types import SimpleNamespace
 
     rng = np.random.default_rng(seed)
@@ -277,29 +317,14 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None,
         return cs_all + np.minimum(np.minimum.accumulate(e), 0.0)
 
     cs = np.cumsum(rates[states])
-    backlog = ca - departures(cs, ca)
-    peak = float(backlog.max(initial=0.0))
-    unstable = peak > backlog_cap
-    if unstable:
-        cut = int(np.argmax(backlog > backlog_cap)) + 1
-        states = states[:cut]
-        cs = cs[:cut]
-        ca_full = ca[:cut]
-        keep = epoch_slots < cut
-        epoch_slots, levels = epoch_slots[keep], levels[keep]
-        epochs = len(epoch_slots)
-        n_window = cut
-    else:
-        ca_full = ca
-        n_window = n_slots
 
     # extend service (no new arrivals) until every epoch departs or the cap hits
-    if not unstable and epochs:
+    if epochs:
         total = levels[-1]
         extra_used = 0
         while extra_used < drain_slot_cap:
-            d_arr = departures(cs, np.concatenate((ca_full,
-                               np.full(len(cs) - len(ca_full), ca_full[-1]))))
+            d_arr = departures(cs, np.concatenate((ca,
+                               np.full(len(cs) - len(ca), ca[-1]))))
             if d_arr[-1] >= total:
                 break
             mean_rate = max(float(model.pi @ rates), 1e-12)
@@ -311,13 +336,12 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None,
             cs = np.cumsum(rates[states])
             extra_used += need
 
-    ca_ext = np.concatenate((ca_full, np.full(len(cs) - len(ca_full),
-                                              ca_full[-1] if len(ca_full) else 0.0)))
+    ca_ext = np.concatenate((ca, np.full(len(cs) - len(ca),
+                                         ca[-1] if len(ca) else 0.0)))
     dep = departures(cs, ca_ext)
 
     if epochs:
-        tol = np.maximum(1e-9, 1e-12 * levels)
-        dep_slot = np.searchsorted(dep, levels - tol, side="left")
+        dep_slot = np.searchsorted(dep, levels - 1e-12 * levels, side="left")
         served = dep_slot < len(dep)
         # a block cannot depart before its own arrival slot (relevant at delta=0)
         delays = np.maximum(dep_slot[served] - epoch_slots[served], 0)
@@ -327,6 +351,4 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None,
         undelivered = 0
 
     return SimpleNamespace(delays_slots=delays.astype(np.int64),
-                           n_slots=n_window, epochs=epochs,
-                           undelivered=undelivered, backlog_peak=peak,
-                           unstable=unstable)
+                           epochs=epochs, undelivered=undelivered)

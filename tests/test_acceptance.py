@@ -17,7 +17,7 @@ from conftest import single_state_model
 from oracles import (arrival_log_mgf_enumeration,
                      constellation_capacity_quadrature,
                      interference_integral_closed_form, random_chain,
-                     service_log_mgf_enumeration)
+                     sample_finite_sinr_batch, service_log_mgf_enumeration)
 
 PUBLISHED_PI = {
     -2.0: [0.622, 0.234, 0.127, 0.017, 0.00044, 1.43e-7],
@@ -76,7 +76,7 @@ def test_acceptance_3_finite_system_convergence():
     sigma2 = 10 ** -0.6
     cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0)
     beta = cc.solve_fixed_point(cfg).beta
-    sinr, p1 = cc.sample_finite_sinr_batch(256, 128, sigma2, 10_000, seed=2718)
+    sinr, p1 = sample_finite_sinr_batch(256, 128, sigma2, 10_000, seed=2718)
     rel = abs(float(np.mean(sinr / p1)) * beta - 1.0)
     ok = rel <= 0.05
     _report(3, "finite-system SINR matches the decoupled value", ok,

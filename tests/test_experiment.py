@@ -136,6 +136,20 @@ def test_spec_validation_bounds():
     with pytest.raises(cc.ConfigError, match="seed"):
         cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
                        "seed": -1})
+    # counts that are not whole are refused up front, not mid-run
+    bad_counts = {"seed": (1.5, math.nan),
+                  "validate_slots": (2.5, math.inf),
+                  "d_guarantee_slots": (1.5, math.inf, math.nan)}
+    for key, values in bad_counts.items():
+        for bad in values:
+            with pytest.raises(cc.ConfigError,
+                               match="%s must be a whole number" % key):
+                cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5,
+                               "f_m_hz": 20.0, key: bad})
+    # a whole float seed is kept as the int SeedSequence needs
+    seed = cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
+                          "seed": 7.0}).seed
+    assert seed == 7 and type(seed) is int
     # keys of the former truncated bound are refused by name
     for key in ("horizon_slots", "theta_min", "theta_max", "theta_points"):
         with pytest.raises(cc.ConfigError, match=r"line \d+: '%s' was removed.*exact"

@@ -40,6 +40,28 @@ def test_cli_output_matches_golden_files(tmp_path):
         assert _untimed(out.read_bytes()) == _untimed(want), name
 
 
+def _body(text):
+    return next(csv.DictReader(line for line in text.splitlines()
+                               if not line.startswith("#")))
+
+
+def test_validate_verdict_does_not_depend_on_the_block_unit(tmp_path):
+    # w_hz and the rate lattice scaled by one power of two rescale every
+    # rate and batch exactly: the certificate and the simulated queue must
+    # read the same, and --strict must not refuse the row
+    want = _body((GOLDEN / "validate_violations.csv").read_text())
+    for k in (30, -40):
+        out = tmp_path / ("k%d.csv" % k)
+        argv = [*CASES["validate_violations"], "--strict",
+                "--w-hz", repr(2e7 * 2.0 ** k),
+                "--resolution", repr(1e-3 * 2.0 ** k), "--output", str(out)]
+        assert main(argv) == 0, k
+        got = _body(out.read_text())
+        for col in ("sim_violation_freq", "sim_violation_se", "sim_epochs",
+                    "delay_bound_slots"):
+            assert got[col] == want[col], (k, col)
+
+
 def test_validate_golden_case_has_violations():
     text = (GOLDEN / "validate_violations.csv").read_text()
     rows = csv.DictReader(line for line in text.splitlines()

@@ -1,7 +1,9 @@
 """Simulator checks: distributional sanity for the finite-system sampler
-and the channel paths, the scanned chain path held slot for slot to a
-per-slot walk, exact hand-worked cases for the FIFO queue, and the chunked
-queue held to the whole-array reference in ``oracles``."""
+(an oracle in ``oracles``) and the channel paths, the scanned chain path
+held slot for slot to a per-slot walk, exact hand-worked cases for the FIFO
+queue, the chunked queue held to the whole-array reference in ``oracles``,
+and the queue's delays unchanged when the block unit is rescaled."""
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -16,13 +18,13 @@ from cdmacal import sim
 
 from conftest import single_state_model
 from oracles import (fifo_queue_whole_array, finite_sinr_direct,
-                     fsmc_path_loop)
+                     fsmc_path_loop, sample_finite_sinr_batch)
 
 
 def test_single_user_is_matched_filter():
     # k = 1: no interference, SINR = p1 |s1|^2 / sigma2 with E|s1|^2 = 1
     sigma2 = 0.25
-    sinr, p1 = cc.sample_finite_sinr_batch(48, 1, sigma2, 4000, seed=9)
+    sinr, p1 = sample_finite_sinr_batch(48, 1, sigma2, 4000, seed=9)
     assert np.all(sinr > 0)
     ratio = sinr / p1 * sigma2             # |s1|^2 samples, mean 1, var 1/m
     assert ratio.mean() == pytest.approx(1.0, abs=4 / math.sqrt(48 * 4000))
@@ -32,27 +34,27 @@ def test_single_user_is_matched_filter():
 def test_finite_sinr_concentrates_on_decoupled_value():
     cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0)
     beta = cc.solve_fixed_point(cfg).beta
-    sinr, p1 = cc.sample_finite_sinr_batch(96, 48, cfg.sigma2, 1500, seed=31)
+    sinr, p1 = sample_finite_sinr_batch(96, 48, cfg.sigma2, 1500, seed=31)
     assert np.mean(sinr / p1) * beta == pytest.approx(1.0, abs=0.05)
 
 
 def test_finite_sinr_woodbury_matches_direct_solve():
     for k, sigma2 in ((8, 0.5), (16, 1e-3), (1, 0.25)):
-        sinr, p1 = cc.sample_finite_sinr_batch(16, k, sigma2, 64, seed=5)
+        sinr, p1 = sample_finite_sinr_batch(16, k, sigma2, 64, seed=5)
         want, p1_want = finite_sinr_direct(16, k, sigma2, 64, seed=5)
         assert np.array_equal(p1, p1_want)
         assert np.allclose(sinr, want, rtol=1e-9, atol=0)
 
 
 def test_finite_sinr_single_draw_and_validation():
-    sinr, p1 = cc.sample_finite_sinr_batch(16, 8, 0.5, 1, seed=4)
+    sinr, p1 = sample_finite_sinr_batch(16, 8, 0.5, 1, seed=4)
     assert sinr.shape == p1.shape == (1,)
     assert sinr[0] > 0 and p1[0] > 0
     with pytest.raises(ValueError):
-        cc.sample_finite_sinr_batch(0, 1, 0.5, 1)
+        sample_finite_sinr_batch(0, 1, 0.5, 1)
     with pytest.raises(ValueError):
-        cc.sample_finite_sinr_batch(8, 2, 0.0, 1)
-    assert cc.sample_finite_sinr_batch(8, 2, 0.5, 0)[0].shape == (0,)
+        sample_finite_sinr_batch(8, 2, 0.0, 1)
+    assert sample_finite_sinr_batch(8, 2, 0.5, 0)[0].shape == (0,)
     bad_args = {"m": (8.5, math.nan, 0), "k": (0, 2.5, math.inf),
                 "n": (-1, 2.5, math.nan), "chunk": (0, -2, 1.5),
                 "sigma2": (math.inf, math.nan, -1.0)}
@@ -61,7 +63,7 @@ def test_finite_sinr_single_draw_and_validation():
             args = {"m": 8, "k": 2, "sigma2": 0.5, "n": 3, "chunk": 2,
                     name: bad}
             with pytest.raises(ValueError, match=name):
-                cc.sample_finite_sinr_batch(**args)
+                sample_finite_sinr_batch(**args)
 
 
 def test_chain_paths_reproduce_stationary_law(ref_model):
@@ -140,15 +142,12 @@ def test_queue_slower_server_accumulates_delay():
     assert np.array_equal(trace.delays_slots, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
     assert trace.undelivered == 0
     assert trace.epochs == 10
-    assert trace.backlog_peak == pytest.approx(10.0)
-    assert not trace.unstable
 
 
 def test_queue_fast_server_serves_same_slot():
     trace = cc.simulate_fifo_queue(single_state_model(6.0),
                                    cc.PeriodicSource(3.0), 50, seed=0)
     assert np.array_equal(trace.delays_slots, np.zeros(50, dtype=np.int64))
-    assert trace.backlog_peak == 0.0
 
 
 def test_queue_exact_rate_match_has_zero_delay():
@@ -175,14 +174,15 @@ def test_queue_periodic_batches():
     assert np.all(trace.delays_slots == 2)
 
 
-def test_queue_overload_hits_backlog_cap():
+def test_queue_overload_leaves_every_epoch_undelivered():
+    # a zero-rate server never serves: every epoch is censored, and each
+    # counts as a violation at any delay
     trace = cc.simulate_fifo_queue(single_state_model(0.0),
-                                   cc.PeriodicSource(1.0), 1000, seed=0,
-                                   backlog_cap=50.0)
-    assert trace.unstable
-    assert trace.n_slots < 1000
-    assert trace.undelivered == trace.epochs
+                                   cc.PeriodicSource(1.0), 1000, seed=0)
+    assert trace.epochs == 1000
+    assert trace.undelivered == 1000
     assert len(trace.delays_slots) == 0
+    assert trace.violation_frequency(0)[0] == 1.0
 
 
 def test_queue_drain_completes_late_blocks(ref_model):
@@ -190,7 +190,7 @@ def test_queue_drain_completes_late_blocks(ref_model):
     trace = cc.simulate_fifo_queue(ref_model, src, 30_000, seed=14)
     assert trace.undelivered == 0
     assert len(trace.delays_slots) == trace.epochs
-    assert trace.backlog_peak > 0
+    assert trace.delays_slots.max() > 0
 
 
 def test_queue_reports_censoring_when_drain_capped():
@@ -201,7 +201,6 @@ def test_queue_reports_censoring_when_drain_capped():
     assert np.array_equal(trace.delays_slots, [2, 4, 6, 8, 10, 12])
     assert trace.undelivered == 4
     assert trace.epochs == 10
-    assert not trace.unstable
 
 
 def test_queue_reproducible(ref_model):
@@ -209,7 +208,7 @@ def test_queue_reproducible(ref_model):
     a = cc.simulate_fifo_queue(ref_model, src, 20_000, seed=77)
     b = cc.simulate_fifo_queue(ref_model, src, 20_000, seed=77)
     assert np.array_equal(a.delays_slots, b.delays_slots)
-    assert a.backlog_peak == b.backlog_peak
+    assert a.undelivered == b.undelivered
 
 
 def test_violation_frequency_counts():
@@ -226,15 +225,12 @@ def test_violation_frequency_counts():
 
 
 def _queue_cases(ref_model):
-    """Servers x loads x periods x lengths, seeds cycling 0..5; the last
-    group overloads the reference chain against a backlog cap of 30."""
+    """Servers x loads x periods x lengths, seeds cycling 0..5."""
     servers = (ref_model, single_state_model(2.0), single_state_model(0.0))
     grid = itertools.product(servers, (0.0, 1.663, 4.0, 23.7), (1, 3, 5),
                              (1, 7, 64, 3000))
     for i, (model, delta, tau, n) in enumerate(grid):
-        yield model, cc.PeriodicSource(delta, tau_slots=tau), n, i % 6, 1e9
-    for seed in range(6):
-        yield ref_model, cc.PeriodicSource(23.7), 3000, seed, 30.0
+        yield model, cc.PeriodicSource(delta, tau_slots=tau), n, i % 6
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
@@ -242,24 +238,36 @@ def test_chunked_queue_matches_whole_array_reference(ref_model, monkeypatch,
                                                      chunk):
     monkeypatch.setattr(sim, "_CHUNK", chunk)
     seen = set()
-    for model, src, n, seed, cap in _queue_cases(ref_model):
-        got = cc.simulate_fifo_queue(model, src, n, seed=seed, backlog_cap=cap)
-        want = fifo_queue_whole_array(model, src, n, seed=seed,
-                                      backlog_cap=cap)
-        case = (src, n, seed, cap)
+    for model, src, n, seed in _queue_cases(ref_model):
+        got = cc.simulate_fifo_queue(model, src, n, seed=seed)
+        want = fifo_queue_whole_array(model, src, n, seed=seed)
+        case = (src, n, seed)
         assert np.array_equal(got.delays_slots, want.delays_slots), case
         assert got.delays_slots.dtype == np.int64
-        for field in ("epochs", "undelivered", "n_slots", "unstable"):
+        for field in ("epochs", "undelivered"):
             assert getattr(got, field) == getattr(want, field), (field, case)
-        if want.unstable:
-            # the chunked run stops at the cut, the reference reads on
-            assert cap < got.backlog_peak <= want.backlog_peak, case
-        else:
-            assert got.backlog_peak == want.backlog_peak, case
-        seen.add((want.unstable, want.undelivered > 0, n > chunk))
-    # the grid reaches cut runs, censored drains and multi-chunk paths
-    assert {(True, True, True), (False, True, True),
-            (False, False, True)} <= seen
+        seen.add((want.undelivered > 0, n > chunk))
+    # the grid reaches censored drains and multi-chunk paths
+    assert {(True, True), (False, True)} <= seen
+
+
+@pytest.mark.parametrize("factor", [2.0 ** 30, 2.0 ** -40],
+                         ids=["2**30", "2**-40"])
+def test_queue_delays_do_not_depend_on_the_block_unit(ref_model, factor):
+    # a power-of-two factor rescales service and batches exactly, so the
+    # departure curve is the same curve in another unit: nothing may move
+    scaled = dataclasses.replace(ref_model,
+                                 rates_blocks=ref_model.rates_blocks * factor)
+    for delta, tau, n in ((1.663, 1, 20_000), (8.38, 5, 70_000),
+                          (23.7, 3, 3000)):
+        want = cc.simulate_fifo_queue(
+            ref_model, cc.PeriodicSource(delta, tau_slots=tau), n, seed=7)
+        got = cc.simulate_fifo_queue(
+            scaled, cc.PeriodicSource(delta * factor, tau_slots=tau), n,
+            seed=7)
+        assert np.array_equal(got.delays_slots, want.delays_slots), delta
+        assert (got.epochs, got.undelivered) == (want.epochs,
+                                                 want.undelivered), delta
 
 
 def test_queue_memory_does_not_grow_with_the_run(ref_model):
@@ -331,8 +339,4 @@ def test_queue_input_validation(ref_model):
             cc.simulate_fsmc(ref_model, bad)
         with pytest.raises(ValueError, match="n_slots"):
             cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(1.0), bad)
-    for bad in (math.nan, -1.0):
-        with pytest.raises(ValueError, match="backlog_cap"):
-            cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(1.0), 10,
-                                   backlog_cap=bad)
     assert len(cc.simulate_fsmc(ref_model, 5.0, init_state=2.0)) == 5
