@@ -87,10 +87,6 @@ class Mode:
     threshold_db: float
     points: np.ndarray = field(compare=False, repr=False)
 
-    @property
-    def constellation_size(self):
-        return len(self.points)
-
 
 class ModeTable:
     """Validated, ordered collection of AMC modes.

@@ -38,11 +38,14 @@ The stable set is empty when delta >= tau pi Rb.  The epsilon-quantile
 delay bound is the smallest tau_d with min_theta ln F <= ln epsilon, found
 by doubling and bisection because F is non-increasing in tau_d.
 
-Throughput is the largest sustainable arrival rate, found by integer
-bisection on a lattice of spacing ``resolution_blocks``: the reported rate
-lambda satisfies the guarantee while lambda + resolution does not.  Both
-searches go through one integer search for the first n where a monotone
-predicate holds.
+Throughput is the largest rate on a lattice of spacing ``resolution_blocks``
+that meets the guarantee d.  w_d does not involve delta, so per theta the
+batch delta*(theta) with ln F_theta(d) = ln epsilon is a root over L x L
+solves, and max_theta delta*(theta) / tau (the effective-bandwidth /
+effective-capacity duality) proposes the rate.  The exact lattice predicate
+confirms it, or gallops outward from it and bisects; the reported delay
+gallops down from d.  Both searches share one integer search for the first
+n where a monotone predicate holds.
 """
 from dataclasses import dataclass
 import functools
@@ -142,30 +145,42 @@ def service_log_mgf(model, theta, t):
     return out if out.ndim else float(out)
 
 
+def _log_f_solver(model, theta, tau, d_slots):
+    """delta -> ln F_theta(d) at one theta, tau and d, +inf where delta is
+    unstable: ln (P D)^r for r <= tau is formed once, ln w_d once at the
+    first stable delta, and each delta costs one L x L solve."""
+    _, lpd = _log_kernel(model, theta)
+    powers = [lpd]
+    for _ in range(1, tau):
+        powers.append(_log_matmul(powers[-1], lpd))
+    eye = np.eye(lpd.shape[0])
+    log_w = functools.cache(lambda: _log_w(model, theta, d_slots))
+
+    def log_f(delta):
+        log_b = PeriodicSource(delta, tau).log_mgf(theta, np.arange(1, tau))
+        with np.errstate(over="ignore"):
+            try:
+                y = np.linalg.solve(eye - np.exp(theta * delta + powers[-1]),
+                                    np.ones(len(eye)))
+            except np.linalg.LinAlgError:
+                return math.inf
+            if not np.all((y >= 1) & (y < math.inf)):
+                return math.inf
+            z = y
+            for lb, power in zip(log_b, powers):
+                z = z + np.exp(lb + power) @ y
+        if not np.all(z < math.inf):
+            return math.inf
+        return float(np.logaddexp.reduce(log_w() + np.log(z)))
+    return log_f
+
+
 def log_violation_bound(source, model, theta, d_slots):
     """ln F_theta(d) for an integer d >= 1 by the closed form; +inf where
     theta lies outside the stable set."""
     theta = float(_check_theta(theta))
     d_slots = whole_number("d_slots", d_slots, 1)
-    _, lpd = _log_kernel(model, theta)
-    n = lpd.shape[0]
-    log_b = source.log_mgf(theta, np.arange(1, source.tau_slots))
-    phases, power = [np.eye(n)], lpd                # b_r (P D)^r, ln (P D)^r
-    with np.errstate(over="ignore"):
-        for lb in log_b:
-            phases.append(np.exp(lb + power))
-            power = _log_matmul(power, lpd)
-        kernel = np.exp(theta * source.delta_blocks + power)
-        try:
-            y = np.linalg.solve(np.eye(n) - kernel, np.ones(n))
-        except np.linalg.LinAlgError:
-            return math.inf
-        if not np.all((y >= 1) & (y < math.inf)):
-            return math.inf
-        z = sum(ph @ y for ph in phases)
-    if not np.all(z < math.inf):
-        return math.inf
-    return float(np.logaddexp.reduce(_log_w(model, theta, d_slots) + np.log(z)))
+    return _log_f_solver(model, theta, source.tau_slots, d_slots)(source.delta_blocks)
 
 
 def _log_stability(source, model, theta):
@@ -229,15 +244,21 @@ class DelayBoundResult:
     unstable: bool              # the stable set is empty
 
 
-def _first_true(holds, lo, hi=None):
+def _first_true(holds, lo, hi=None, guess=None):
     """Smallest integer n > lo with holds(n), for a predicate that is false
-    up to some n and true from there on; holds(lo) counts as false.  hi,
-    when given, counts as true without a probe; otherwise the bracket
-    doubles from lo + 1."""
-    if hi is None:
-        hi = lo + 1
-        while not holds(hi):
-            lo, hi = hi, 2 * hi
+    up to some n and true from there on; holds(lo) counts as false and hi,
+    when given, as true, neither with a probe.  Probes gallop 1, 2, 4, ...
+    away from guess, which needs hi, down while holds and up while not (up
+    from lo when neither is given), and then the bracket bisects."""
+    if guess is not None or hi is None:
+        g = lo if guess is None else max(lo, min(guess, hi))
+        up = g == lo or (g != hi and not holds(g))
+        lo, hi, step = (g, hi, 1) if up else (lo, g, -1)
+        while lo < (x := g + step) and (hi is None or x < hi):
+            lo, hi = (lo, x) if holds(x) else (x, hi)
+            if (hi == x) == up:                 # g and x now bracket n
+                break
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):
@@ -248,14 +269,14 @@ def _first_true(holds, lo, hi=None):
 
 
 def _delay_search(source, model, epsilon, top=None):
-    """``delay_bound``, searched in (0, top] when ``top`` is known to certify."""
+    """``delay_bound``, galloping down from ``top`` when it certifies."""
     if _stable(source, model):
         log_eps = math.log(epsilon)
         best = functools.cache(lambda d: _best_theta(source, model, d, log_eps))
         # No stable theta (nan) comes from the solve for y, which does not
         # involve d, so it holds at every delay and ends the search at d = 1.
         d = _first_true(lambda d: math.isnan(best(d)[0]) or best(d)[1] <= log_eps,
-                        0, top)
+                        0, top, top)
         theta = best(d)[0]
         if not math.isnan(theta):
             return DelayBoundResult(d_slots=float(d), theta_star=theta,
@@ -292,21 +313,39 @@ class ThroughputResult:
     resolution_blocks: float
     tau_slots: int
     delay_at_lambda: DelayBoundResult
-    infeasible: bool            # guarantee unattainable even as lambda -> 0
+    infeasible: bool            # the first lattice point is refused
+
+
+def _rate_proposal(model, tau, d_g, log_eps, resolution):
+    """max_theta delta*(theta) / tau, delta* the root of tanh((ln epsilon -
+    ln F_theta(d_g)) / 2), by one search over four decades of ln theta from
+    -ln epsilon / (d_g max Rb), below which Ms(theta, d_g) alone exceeds
+    epsilon.  The theta that certify a batch form an interval that shrinks
+    as it grows, so delta* is quasi-concave; where no batch is certified the
+    objective is how far the zero batch misses."""
+    top = tau * float(model.pi @ model.rates_blocks)
+
+    def neg_delta(x):
+        log_f = _log_f_solver(model, math.exp(x), tau, d_g)
+        h = lambda delta: math.tanh((log_eps - log_f(delta)) / 2)
+        h0, h_top = h(0.0), min(h(top), 0.0)    # certified at top: root at top
+        if not h0 > 0:
+            return -h0
+        return -find_root(h, 0.0, top, 1e-3 * tau * resolution, fa=h0, fb=h_top)[0]
+    x_lo = math.log(-log_eps / (d_g * model.rates_blocks.max()))
+    return -minimize_bounded(neg_delta, x_lo, x_lo + math.log(1e4), 1e-2)[1] / tau
 
 
 def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
                                  resolution_blocks=1e-3, tau_slots=1):
-    """Bisect the arrival-rate lattice for the delay-constrained throughput.
+    """Largest lattice arrival rate whose delay bound meets the guarantee.
 
-    A lattice point is refused when min_theta ln F_theta(d_guarantee) > ln
-    epsilon, which is monotone in the rate, so the returned point is exactly
-    the lattice maximum and the point above it is the last refused probe.
-    A probe's theta search stops at the first theta that meets epsilon;
-    only the reported delay bound minimises fully.  The bisection's top,
-    the first point with an empty stable set, is found without evaluating
-    the bound; the delay bound reported at the returned point is searched
-    in (0, d_guarantee], which is known to certify.
+    A point is refused when its stable set is empty or min_theta ln
+    F_theta(d_guarantee) > ln epsilon, monotone in the rate.  This exact
+    predicate confirms the rate proposal (its point holds, the next is
+    refused) or gallops outward from it and bisects.  Probes stop at the
+    first theta that meets epsilon; only the reported delay minimises fully,
+    galloping down from the guarantee.
     """
     d_g = whole_number("d_guarantee_slots", d_guarantee_slots, 0)
     if not resolution_blocks > 0:
@@ -325,11 +364,12 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
                                     stop=log_eps)[1] <= log_eps)
 
     infeasible = refused(1)
-    if infeasible:
-        k, top = 0, None
-    else:
+    k, top = 0, None
+    if not infeasible:
         k_stab = _first_true(lambda k: not _stable(source(k), model), 1)
-        k, top = _first_true(refused, 1, k_stab) - 1, d_g
+        lam = _rate_proposal(model, tau_slots, d_g, log_eps, resolution_blocks)
+        guess = math.floor(lam / resolution_blocks) + 1 if math.isfinite(lam) else None
+        k, top = _first_true(refused, 1, k_stab, guess) - 1, d_g
     lam = k * resolution_blocks
     return ThroughputResult(
         lambda_blocks=lam, lambda_bps=lam * (cfg.alpha * cfg.n_b_bits / cfg.t_b_s),

@@ -13,14 +13,19 @@ for the FIFO queue's departures.  The exponential SNR density and the dB
 conversion are the textbook formulas the pipeline is built on, kept here
 because only tests read them.  The finite-system SINR sampler is a Monte
 Carlo check of the large-system fixed point that only tests call, so it
-lives here too, next to its direct-solve reference.
+lives here too, next to its direct-solve reference.  The plain bisections
+over the rate lattice and the delay keep the library's exact predicate and
+change only the search: they are what the throughput search's rate
+proposal and galloping must reproduce.
 """
+import functools
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.special import logsumexp
 
+from cdmacal import netcal
 from cdmacal.errors import whole_number
 
 
@@ -352,3 +357,59 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None):
 
     return SimpleNamespace(delays_slots=delays.astype(np.int64),
                            epochs=epochs, undelivered=undelivered)
+
+
+def first_true_bisection(holds, lo, hi=None):
+    """Smallest integer n > lo with holds(n) for a monotone predicate, by
+    doubling from lo + 1 >= 1 (when hi is not given) and plain bisection;
+    holds(lo) counts as false and hi as true."""
+    if hi is None:
+        hi = lo + 1
+        while not holds(hi):
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def lattice_refusal(model, epsilon, d_g, resolution, tau):
+    """The throughput search's exact predicate: k -> whether lattice point k
+    is refused (empty stable set, or min_theta ln F_theta(d_g) > ln eps)."""
+    log_eps = math.log(epsilon)
+
+    def refused(k):
+        src = netcal.PeriodicSource(k * resolution * tau, tau)
+        return not (d_g >= 1 and netcal._stable(src, model)
+                    and netcal._best_theta(src, model, d_g, log_eps,
+                                           stop=log_eps)[1] <= log_eps)
+    return refused
+
+
+def throughput_lattice_bisection(model, epsilon, d_g, resolution, tau):
+    """(lambda_blocks, infeasible, d_slots, theta_star) by plain bisection
+    over the rate lattice with the exact predicate, and the reported delay by
+    plain bisection over (0, d_g] (doubling from one slot when even the first
+    lattice point is refused), each probe minimising ln F fully."""
+    log_eps = math.log(epsilon)
+    refused = lattice_refusal(model, epsilon, d_g, resolution, tau)
+    source = lambda k: netcal.PeriodicSource(k * resolution * tau, tau)
+    infeasible = refused(1)
+    if infeasible:
+        k, top = 0, None
+    else:
+        k_stab = first_true_bisection(
+            lambda k: not netcal._stable(source(k), model), 1)
+        k, top = first_true_bisection(refused, 1, k_stab) - 1, d_g
+    src, d, theta = source(k), math.inf, math.nan
+    if netcal._stable(src, model):
+        best = functools.cache(
+            lambda d: netcal._best_theta(src, model, d, log_eps))
+        d = first_true_bisection(
+            lambda d: math.isnan(best(d)[0]) or best(d)[1] <= log_eps, 0, top)
+        theta = best(d)[0]
+        d = math.inf if math.isnan(theta) else float(d)
+    return k * resolution, infeasible, d, theta

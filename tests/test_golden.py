@@ -25,6 +25,13 @@ CASES = {
                     "--sweep-start", "0.5", "--sweep-stop", "1.0",
                     "--sweep-step", "0.5"],
     "thresholds": ["thresholds"],
+    # an infeasible point (d 1), a delay far below its guarantee (89228 of
+    # 100001 slots, the point above refused only as unstable) and a rate
+    # near the stability limit
+    "sweep_guarantee_tau3": ["sweep", *POINT_ARGS, "--tau", "3",
+                             "--sweep-axis", "delay_guarantee",
+                             "--sweep-start", "1", "--sweep-stop", "200001",
+                             "--sweep-step", "100000"],
 }
 
 

@@ -6,7 +6,10 @@ closed-form violation bound with truncated sums and their geometric tail
 bound, and the delay bound with the geometric closed form available for a
 constant-rate server.  Every certificate the searches return is re-checked
 by the oracle sum, and the throughput search is checked for its lattice
-certificate and its degenerate outcomes.
+certificate and its degenerate outcomes.  The integer search gallops from a
+guess to plain bisection's answer within a probe budget, and the throughput
+search, whatever its rate proposal, returns what plain bisection over the
+rate lattice and the delay returns.
 """
 import math
 
@@ -16,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdmacal as cc
+from cdmacal import netcal
 
 from conftest import single_state_model
-from oracles import (arrival_log_mgf_enumeration, random_chain,
-                     service_log_mgf_enumeration,
-                     service_log_mgf_table_logsumexp, violation_bound_oracle)
+from oracles import (arrival_log_mgf_enumeration, first_true_bisection,
+                     lattice_refusal, random_chain, service_log_mgf_enumeration,
+                     service_log_mgf_table_logsumexp,
+                     throughput_lattice_bisection, violation_bound_oracle)
 
 # the theta grid of the former truncated bound, kept as a yardstick
 GRID = np.geomspace(1e-4, 50.0, 60)
@@ -473,3 +478,99 @@ def test_whole_number_arguments_refused_by_name(ref_cfg, ref_model):
         for bad in (math.nan, math.inf, -math.inf, 1.5):
             with pytest.raises(ValueError, match="%s must be a whole number" % name):
                 call(bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=st.integers(0, 40), width=st.one_of(st.none(), st.integers(1, 300)),
+       n_off=st.integers(1, 400), kind=st.sampled_from(
+           ["none", "below", "above", "exact", "minus", "plus", "any"]),
+       off=st.integers(0, 100), any_guess=st.integers(-600, 600))
+def test_first_true_gallops_to_the_bisection_answer(lo, width, n_off, kind,
+                                                    off, any_guess):
+    # a step predicate that turns true at lo + n_off, with hi (when given)
+    # counting as true; the guess, which needs hi, may sit outside (lo, hi)
+    # or miss by one
+    hi = None if width is None else lo + width
+    step_at = lo + n_off
+    n = first_true_bisection(lambda x: x >= step_at, lo, hi)
+    guess = None if hi is None else {
+        "none": None, "below": lo - off, "above": hi + off, "exact": n,
+        "minus": n - 1, "plus": n + 1, "any": any_guess}[kind]
+    probes = []
+
+    def holds(x):
+        probes.append(x)
+        return x >= step_at
+    assert netcal._first_true(holds, lo, hi, guess) == n
+    assert all(lo < x and (hi is None or x < hi) for x in probes)
+    if guess is not None:
+        assert len(probes) <= 2 * math.ceil(math.log2(abs(n - guess) + 2)) + 2
+
+
+def _lattice_case_model(ref_model, chain_seed):
+    if chain_seed is None:
+        return ref_model
+    rng = np.random.default_rng(chain_seed)
+    return _chain_model(*random_chain(rng, int(rng.integers(1, 5)),
+                                      sparse=bool(chain_seed % 2)))
+
+
+def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None):
+    """The throughput result equals plain bisection's; a bad proposal, when
+    given, replaces the real one (an offset is in lattice steps from the
+    answer).  The returned point holds and the one above is refused."""
+    res_blocks = 1e-3
+    want = throughput_lattice_bisection(model, eps, d, res_blocks, tau)
+    if bad is not None:
+        rate = want[0] + bad * res_blocks if isinstance(bad, int) else bad
+        monkeypatch.setattr(netcal, "_rate_proposal", lambda *args: rate)
+    res = cc.delay_constrained_throughput(
+        cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0), model,
+        epsilon=eps, d_guarantee_slots=d, resolution_blocks=res_blocks,
+        tau_slots=tau)
+    monkeypatch.undo()
+    got = (res.lambda_blocks, res.infeasible, res.delay_at_lambda.d_slots,
+           res.delay_at_lambda.theta_star)
+    assert got[:3] == want[:3] and (got[3] == want[3] or
+                                    math.isnan(got[3]) and math.isnan(want[3]))
+    k = round(res.lambda_blocks / res_blocks)
+    refused = lattice_refusal(model, eps, d, res_blocks, tau)
+    assert refused(k + 1) and (k == 0 or not refused(k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(chain_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+       tau=st.sampled_from([1, 3, 5]), d=st.sampled_from([1, 2, 10, 100, 1000]),
+       eps=st.sampled_from([1e-4, 1e-2, 0.3]),
+       bad=st.sampled_from([None, None, 0.0, 1e300, math.nan, 50, -50]))
+def test_throughput_matches_plain_lattice_bisection(ref_model, chain_seed, tau,
+                                                    d, eps, bad):
+    with pytest.MonkeyPatch.context() as mp:
+        _check_against_lattice_bisection(_lattice_case_model(ref_model, chain_seed),
+                                         eps, d, tau, mp, bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1e300, math.inf, math.nan, 50, -50, 1, -1])
+@pytest.mark.parametrize("server, d, tau", [(None, 100, 1), (6.0, 50, 3)])
+def test_bad_rate_proposals_resume_to_the_lattice_maximum(ref_model, monkeypatch,
+                                                          bad, server, d, tau):
+    # proposals far below, far above, not a number, and off by 50 or 1 steps;
+    # the constant-rate server's answer sits one step below its stability
+    # limit, with a delay far below the guarantee
+    model = ref_model if server is None else single_state_model(server)
+    _check_against_lattice_bisection(model, 1e-2, d, tau, monkeypatch, bad)
+
+
+@pytest.mark.parametrize("d, tau", [(60, 1), (100, 1), (140, 1), (100, 5)])
+def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
+                                            d, tau):
+    # log-domain matrix powers per throughput point at the reference point:
+    # one per theta of the rate proposal, plus the exact probes that confirm
+    # it and report the delay
+    calls = []
+    log_w = netcal._log_w
+    monkeypatch.setattr(netcal, "_log_w", lambda *a: calls.append(a) or log_w(*a))
+    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+                                          d_guarantee_slots=d, tau_slots=tau)
+    assert not res.infeasible
+    assert len(calls) <= 100, len(calls)

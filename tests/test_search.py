@@ -174,25 +174,37 @@ def test_stop_returns_first_point_at_or_below_it():
 
 
 def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
-    counts = {"largesys": 0, "amc": 0, "theta_stab": 0, "min": 0, "min_stop": 0}
+    counts = {"largesys": 0, "amc": 0, "theta_stab": 0, "min": 0, "min_stop": 0,
+              "proposal_root": 0, "proposal_min": 0}
+    proposing = []              # non-empty while the rate proposal runs
 
     def spy_root(site):
         def run(f, a, b, xtol, rtol=RTOL_MIN, fa=None, fb=None):
-            counts[site] += 1
-            # the thresholds and theta_stab sites evaluate both ends for
-            # their own sign test and hand the values over
+            counts["proposal_root" if proposing else site] += 1
+            # the thresholds, theta_stab and proposal sites evaluate both
+            # ends for their own sign test and hand the values over
             assert [fa is None, fb is None] == [site == "largesys"] * 2
             return check_root(f, a, b, xtol, rtol, fa, fb)
         return run
 
     def spy_min(f, lo, hi, xatol, stop=-math.inf):
-        counts["min" if stop == -math.inf else "min_stop"] += 1
+        counts["proposal_min" if proposing else
+               "min" if stop == -math.inf else "min_stop"] += 1
         return check_min(f, lo, hi, xatol, stop)
 
+    def spy_proposal(*args):
+        proposing.append(True)
+        try:
+            return rate_proposal(*args)
+        finally:
+            proposing.pop()
+
+    rate_proposal = netcal._rate_proposal
     monkeypatch.setattr(largesys, "find_root", spy_root("largesys"))
     monkeypatch.setattr(amc, "find_root", spy_root("amc"))
     monkeypatch.setattr(netcal, "find_root", spy_root("theta_stab"))
     monkeypatch.setattr(netcal, "minimize_bounded", spy_min)
+    monkeypatch.setattr(netcal, "_rate_proposal", spy_proposal)
     channel = cc.solve_fixed_point(ref_cfg)
     assert all(c.solvable for c in cc.verify_thresholds(cc.default_mode_table()))
     model = cc.build_fsmc(ref_cfg, channel)
@@ -202,6 +214,7 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
         assert not res.infeasible and res.delay_at_lambda.valid
     assert counts["largesys"] == 1 and counts["amc"] == 6
     assert counts["theta_stab"] > 0 and counts["min"] > 0 and counts["min_stop"] > 0
+    assert counts["proposal_min"] == 2 and counts["proposal_root"] > 0
 
 
 def test_cli_import_loads_no_scipy():
