@@ -5,7 +5,6 @@ be swept (delay guarantee, violation probability, average SNR, load, or
 Doppler); everything else is held at its configured value.  Results go to
 CSV with a commented metadata header so a result file is self-describing.
 """
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 import datetime
 import math
@@ -280,6 +279,7 @@ def run_experiment(spec, workers=1):
     children = np.random.SeedSequence(spec.seed).spawn(len(values))
     payloads = [(spec, v, c) for v, c in zip(values, children)]
     if workers > 1 and len(values) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=min(workers, len(values))) as pool:
             return list(pool.map(_worker, payloads))
     return list(map(_worker, payloads))

@@ -16,6 +16,7 @@ with this pi by construction, so pi is the exact stationary vector of the
 matrix; ``stationary_mismatch`` reports the (tiny) numerical gap.
 """
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -72,6 +73,12 @@ class FsmcModel:
     @property
     def n_states(self):
         return len(self.pi)
+
+    @functools.cached_property
+    def log_chain(self):
+        """(ln pi, ln P), -inf where an entry is 0; formed once per model."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.pi), np.log(self.transition)
 
     def stationary_mismatch(self):
         """l1 norm of pi P - pi; a diagnostic, expected at rounding level."""

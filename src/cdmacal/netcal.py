@@ -44,8 +44,9 @@ batch delta*(theta) with ln F_theta(d) = ln epsilon is a root over L x L
 solves, and max_theta delta*(theta) / tau (the effective-bandwidth /
 effective-capacity duality) proposes the rate.  The exact lattice predicate
 confirms it, or gallops outward from it and bisects; the reported delay
-gallops down from d.  Both searches share one integer search for the first
-n where a monotone predicate holds.
+gallops down from d.  Each probe is decided: it holds at the first theta
+with ln F <= ln epsilon, and is refused once chord lines through the values
+met bound the convex ln F above ln epsilon; one full minimisation reports theta*.
 """
 from dataclasses import dataclass
 import functools
@@ -55,6 +56,8 @@ import numpy as np
 
 from ._search import find_root, minimize_bounded
 from .errors import whole_number
+
+_FLOOR = np.finfo(float).min                    # shift of an all -inf column
 
 
 @dataclass(frozen=True)
@@ -100,34 +103,29 @@ def _log_matmul(a, b):
     """ln(e^a @ e^b) over the last two axes; each output entry is shifted by
     its own largest term, so no term underflows before it is summed."""
     s = a[..., :, :, None] + b[..., None, :, :]
-    top = s.max(axis=-2)
-    top[np.isneginf(top)] = 0.0                     # all -inf: stays -inf
+    top = np.fmax(s.max(axis=-2), _FLOOR)           # all -inf: stays -inf
     s -= top[..., None, :]
     out = np.exp(s, out=s).sum(axis=-2)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    out += top
-    return out
+    return np.log(out, out=out) + top               # log(0): callers silence it
 
 
 def _log_kernel(model, theta):
     """ln(pi D) as a one-row matrix and ln(P D); theta may carry leading axes."""
     decay = np.multiply.outer(theta, model.rates_blocks)
-    with np.errstate(divide="ignore"):
-        log_pi, log_p = np.log(model.pi), np.log(model.transition)
+    log_pi, log_p = model.log_chain
     return (log_pi - decay)[..., None, :], log_p - decay[..., None, :]
 
 
-def _log_w(model, theta, t):
-    """ln w_t = ln(pi D (P D)^{t-1}) for t >= 1, by repeated squaring."""
-    row, sq = _log_kernel(model, theta)
+def _log_w(row, sq, t):
+    """ln w_t for t >= 1 from (ln(pi D), ln(P D)), by repeated squaring."""
     k = t - 1
-    while k:
-        if k & 1:
-            row = _log_matmul(row, sq)
-        k >>= 1
-        if k:
-            sq = _log_matmul(sq, sq)
+    with np.errstate(divide="ignore"):
+        while k:
+            if k & 1:
+                row = _log_matmul(row, sq)
+            k >>= 1
+            if k:
+                sq = _log_matmul(sq, sq)
     return row[..., 0, :]
 
 
@@ -141,7 +139,7 @@ def service_log_mgf(model, theta, t):
     if t == 0:
         out = np.zeros(theta.shape)
     else:
-        out = np.logaddexp.reduce(_log_w(model, theta, t), axis=-1)
+        out = np.logaddexp.reduce(_log_w(*_log_kernel(model, theta), t), axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -149,26 +147,28 @@ def _log_f_solver(model, theta, tau, d_slots):
     """delta -> ln F_theta(d) at one theta, tau and d, +inf where delta is
     unstable: ln (P D)^r for r <= tau is formed once, ln w_d once at the
     first stable delta, and each delta costs one L x L solve."""
-    _, lpd = _log_kernel(model, theta)
+    row, lpd = _log_kernel(model, theta)
     powers = [lpd]
-    for _ in range(1, tau):
-        powers.append(_log_matmul(powers[-1], lpd))
-    eye = np.eye(lpd.shape[0])
-    log_w = functools.cache(lambda: _log_w(model, theta, d_slots))
+    with np.errstate(divide="ignore"):
+        for _ in range(1, tau):
+            powers.append(_log_matmul(powers[-1], lpd))
+    eye, ones, r = np.eye(len(lpd)), np.ones(len(lpd)), np.arange(1, tau) / tau
+    log_w = functools.cache(lambda: _log_w(row, lpd, d_slots))
+    log_stay, log_move = np.log1p(-r), np.log(r)    # b_r = 1 - r + r e^{theta delta}
 
     def log_f(delta):
-        log_b = PeriodicSource(delta, tau).log_mgf(theta, np.arange(1, tau))
         with np.errstate(over="ignore"):
             try:
-                y = np.linalg.solve(eye - np.exp(theta * delta + powers[-1]),
-                                    np.ones(len(eye)))
+                y = np.linalg.solve(eye - np.exp(theta * delta + powers[-1]), ones)
             except np.linalg.LinAlgError:
                 return math.inf
             if not np.all((y >= 1) & (y < math.inf)):
                 return math.inf
             z = y
-            for lb, power in zip(log_b, powers):
-                z = z + np.exp(lb + power) @ y
+            if tau > 1:
+                log_b = np.logaddexp(log_stay, log_move + theta * delta)
+                for lb, power in zip(log_b, powers):
+                    z = z + np.exp(lb + power) @ y
         if not np.all(z < math.inf):
             return math.inf
         return float(np.logaddexp.reduce(log_w() + np.log(z)))
@@ -196,41 +196,74 @@ def _stable(source, model):
     return source.delta_blocks < source.tau_slots * float(model.pi @ model.rates_blocks)
 
 
-def _best_theta(source, model, d_slots, log_eps, stop=-math.inf):
+def _minorant(samples):
+    """Lower bound, up to rounding, on the minimum of a convex f (+inf outside
+    an interval) from samples {x: f(x)}: it lies next to the smallest sample,
+    where chord lines bound f from below; -inf when that sample is at an end."""
+    xs = sorted(samples)
+    fs = [samples[x] for x in xs]
+    m = fs.index(min(fs))
+    if not 0 < m < len(xs) - 1:
+        return -math.inf
+
+    def line(j, x):                 # chord over samples j, j + 1, at x
+        if 0 <= j < len(xs) - 1 and max(fs[j], fs[j + 1]) < math.inf:
+            return fs[j] + (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (x - xs[j])
+        return -math.inf
+    return min(max(min(line(j, xs[i]), line(j, xs[i + 1])) for j in (i - 1, i + 1))
+               for i in (m - 1, m))
+
+
+class _Refused(Exception):
+    """A decided search found that no theta meets epsilon."""
+
+
+def _best_theta(source, model, d_slots, log_eps, decide=False):
     """(theta, ln F_theta(d)) at the minimiser of ln F over the stable set,
-    or at the first theta met with ln F <= log_eps while ln F still falls,
-    or, in the minimiser, at the first theta met with ln F <= stop; (nan,
-    inf) when no stable theta is found.
+    or at the first theta met with ln F <= log_eps while ln F still falls;
+    (nan, inf) when no stable theta is found.  ``decide`` stops at the first
+    theta met with ln F <= log_eps, or at the best one met once the minorant
+    of the values met lies above log_eps by more than a rounding margin.
 
     The bracket comes from the inputs: starting at one over the mean
     service rate, theta halves until ln F is finite and doubles while ln F
     falls.  An upper end where ln F is infinite is moved in to theta_stab,
     so the bounded minimiser only sees the convex, finite part.
     """
-    f = lambda th: log_violation_bound(source, model, th, d_slots)
-    theta = 1.0 / float(model.pi @ model.rates_blocks)
-    fx, hi, f_hi = f(theta), None, math.inf
-    while fx == math.inf:
-        hi, theta = theta, theta / 2
-        if theta == 0:
-            return math.nan, math.inf
-        fx = f(theta)
-    lo = 0.0
-    while hi is None and fx > log_eps:
-        fn = f(2 * theta)
-        if fn < fx:
-            lo, theta, fx = theta, 2 * theta, fn
-        else:
-            hi, f_hi = 2 * theta, fn
-    if fx <= log_eps:
-        return theta, fx
-    if f_hi == math.inf:
-        g = lambda th: _log_stability(source, model, th)
-        g_lo, g_hi = g(theta), g(hi)
-        if g_lo < 0 < g_hi:
-            hi, _ = find_root(g, theta, hi, 1e-12 * hi, fa=g_lo, fb=g_hi)
-    x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
-    return (x, fun) if fun < fx else (theta, fx)
+    seen, stop = {}, log_eps if decide else -math.inf
+
+    def f(th):
+        seen[th] = fx = _log_f_solver(model, th, source.tau_slots,
+                                      d_slots)(source.delta_blocks)
+        if decide and _minorant(seen) > log_eps + 1e-9 * (1 + abs(log_eps)):
+            raise _Refused
+        return fx
+    try:
+        theta = 1.0 / float(model.pi @ model.rates_blocks)
+        fx, hi, f_hi = f(theta), None, math.inf
+        while fx == math.inf:
+            hi, theta = theta, theta / 2
+            if theta == 0:
+                return math.nan, math.inf
+            fx = f(theta)
+        lo = 0.0
+        while hi is None and fx > log_eps:
+            fn = f(2 * theta)
+            if fn < fx:
+                lo, theta, fx = theta, 2 * theta, fn
+            else:
+                hi, f_hi = 2 * theta, fn
+        if fx <= log_eps:
+            return theta, fx
+        if f_hi == math.inf:
+            g = lambda th: _log_stability(source, model, th)
+            g_lo, g_hi = g(theta), g(hi)
+            if g_lo < 0 < g_hi:
+                hi, _ = find_root(g, theta, hi, 1e-12 * hi, fa=g_lo, fb=g_hi)
+        x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
+        return (x, fun) if fun < fx else (theta, fx)
+    except _Refused:
+        return min(seen.items(), key=lambda item: item[1])
 
 
 @dataclass(frozen=True)
@@ -272,12 +305,13 @@ def _delay_search(source, model, epsilon, top=None):
     """``delay_bound``, galloping down from ``top`` when it certifies."""
     if _stable(source, model):
         log_eps = math.log(epsilon)
-        best = functools.cache(lambda d: _best_theta(source, model, d, log_eps))
+        probe = functools.cache(
+            lambda d: _best_theta(source, model, d, log_eps, decide=True))
         # No stable theta (nan) comes from the solve for y, which does not
         # involve d, so it holds at every delay and ends the search at d = 1.
-        d = _first_true(lambda d: math.isnan(best(d)[0]) or best(d)[1] <= log_eps,
+        d = _first_true(lambda d: math.isnan(probe(d)[0]) or probe(d)[1] <= log_eps,
                         0, top, top)
-        theta = best(d)[0]
+        theta = _best_theta(source, model, d, log_eps)[0]
         if not math.isnan(theta):
             return DelayBoundResult(d_slots=float(d), theta_star=theta,
                                     epsilon=epsilon, valid=True, unstable=False)
@@ -289,7 +323,7 @@ def delay_bound(source, model, epsilon):
     """Smallest delay tau_d whose violation probability bound drops below epsilon.
 
     F is non-increasing in tau_d, so tau_d is searched by doubling from one
-    slot and then bisection, each probe minimising ln F over theta.
+    slot and then bisection over decided probes; theta* minimises fully.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -343,9 +377,10 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     A point is refused when its stable set is empty or min_theta ln
     F_theta(d_guarantee) > ln epsilon, monotone in the rate.  This exact
     predicate confirms the rate proposal (its point holds, the next is
-    refused) or gallops outward from it and bisects.  Probes stop at the
-    first theta that meets epsilon; only the reported delay minimises fully,
-    galloping down from the guarantee.
+    refused) or gallops outward from it and bisects; the reported delay
+    gallops down from the guarantee.  A probe stops at the first theta that
+    meets epsilon or at the first minorant that certifies a refusal, so one
+    full minimisation, at the reported delay, gives theta*.
     """
     d_g = whole_number("d_guarantee_slots", d_guarantee_slots, 0)
     if not resolution_blocks > 0:
@@ -359,9 +394,8 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
 
     def refused(k):
         src = source(k)
-        return not (d_g >= 1 and _stable(src, model)
-                    and _best_theta(src, model, d_g, log_eps,
-                                    stop=log_eps)[1] <= log_eps)
+        return not (d_g >= 1 and _stable(src, model) and
+                    _best_theta(src, model, d_g, log_eps, decide=True)[1] <= log_eps)
 
     infeasible = refused(1)
     k, top = 0, None

@@ -14,9 +14,10 @@ conversion are the textbook formulas the pipeline is built on, kept here
 because only tests read them.  The finite-system SINR sampler is a Monte
 Carlo check of the large-system fixed point that only tests call, so it
 lives here too, next to its direct-solve reference.  The plain bisections
-over the rate lattice and the delay keep the library's exact predicate and
-change only the search: they are what the throughput search's rate
-proposal and galloping must reproduce.
+over the rate lattice and the delay keep the library's exact ln F and
+answer each probe by a full minimisation over theta: they are what the
+throughput search's rate proposal, galloping and decided probes must
+reproduce.
 """
 import functools
 import math
@@ -378,14 +379,14 @@ def first_true_bisection(holds, lo, hi=None):
 
 def lattice_refusal(model, epsilon, d_g, resolution, tau):
     """The throughput search's exact predicate: k -> whether lattice point k
-    is refused (empty stable set, or min_theta ln F_theta(d_g) > ln eps)."""
+    is refused (empty stable set, or min_theta ln F_theta(d_g) > ln eps),
+    by a full minimisation over theta rather than the decided probe."""
     log_eps = math.log(epsilon)
 
     def refused(k):
         src = netcal.PeriodicSource(k * resolution * tau, tau)
         return not (d_g >= 1 and netcal._stable(src, model)
-                    and netcal._best_theta(src, model, d_g, log_eps,
-                                           stop=log_eps)[1] <= log_eps)
+                    and netcal._best_theta(src, model, d_g, log_eps)[1] <= log_eps)
     return refused
 
 

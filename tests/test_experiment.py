@@ -1,5 +1,9 @@
 """Config parsing, sweep orchestration, and CSV reproducibility."""
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,9 +294,20 @@ def test_worker_pool_capped_at_the_point_count(monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr("cdmacal.experiment.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     spec = cc.parse_config(BASE + "sweep_axis = delay_guarantee\n"
                            "sweep_start = 60\nsweep_stop = 120\nsweep_step = 60\n")
     rows = cc.run_experiment(spec, workers=64)
     assert sizes == [2]
     assert rows == cc.run_experiment(spec, workers=1)
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the worker pool is imported only when a run starts one
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, cdmacal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

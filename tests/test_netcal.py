@@ -9,9 +9,12 @@ by the oracle sum, and the throughput search is checked for its lattice
 certificate and its degenerate outcomes.  The integer search gallops from a
 guess to plain bisection's answer within a probe budget, and the throughput
 search, whatever its rate proposal, returns what plain bisection over the
-rate lattice and the delay returns.
+rate lattice and the delay returns, each of its probes answered there by a
+full minimisation.  The chord-line minorant that certifies a refusal never
+exceeds the minimum of a random convex function.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +483,51 @@ def test_whole_number_arguments_refused_by_name(ref_cfg, ref_model):
                 call(bad)
 
 
+def _convex_min(f, kind, a, b, edge):
+    """(minimiser, minimum) over x <= edge (every x when edge is None) of
+    f, the max or the log-sum-exp of a_i x + b_i, with slopes of both signs."""
+    if kind == "max":               # the minimum sits where two pieces cross
+        x = min(((b[j] - b[i]) / (a[i] - a[j]) for i in range(len(a))
+                 for j in range(i) if a[i] != a[j]), key=f)
+    else:                           # the root of the increasing derivative
+        lo, hi = -1e3, 1e3
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            w = np.exp(a * mid + b - np.max(a * mid + b))
+            lo, hi = (mid, hi) if w @ a < 0 else (lo, mid)
+        x = (lo + hi) / 2
+    x = x if edge is None else min(x, edge)
+    return x, f(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["max", "lse"]),
+       slopes=st.lists(st.floats(0.1, 5), min_size=2, max_size=6),
+       signs=st.lists(st.booleans(), min_size=6, max_size=6),
+       offsets=st.lists(st.floats(-5, 5), min_size=6, max_size=6),
+       grid=st.lists(st.integers(0, 160), min_size=1, max_size=12),
+       edge=st.one_of(st.none(), st.floats(-5, 5)))
+def test_minorant_never_exceeds_the_minimum(kind, slopes, signs, offsets, grid,
+                                            edge):
+    # random convex functions, +inf beyond a random edge, sampled with
+    # repeats on a grid of spacing 1/16 over [-5, 5]: the bound may not
+    # exceed the minimum, and is -inf unless samples lie on both sides of it
+    a = np.array([s if up else -s for s, up in zip(slopes, signs)])
+    a[0], a[1] = -slopes[0], slopes[1]          # bounded below
+    b = np.array(offsets[:len(a)])
+    f = lambda x: float(np.max(a * x + b) if kind == "max"
+                        else np.logaddexp.reduce(a * x + b))
+    x_min, f_min = _convex_min(f, kind, a, b, edge)
+    xs = [i / 16 - 5 for i in grid]
+    samples = {x: math.inf if edge is not None and x > edge else f(x) for x in xs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = netcal._minorant(samples)
+    assert bound <= f_min + 1e-9 * (1 + abs(f_min)), (bound, x_min, f_min)
+    if not min(xs) < x_min < max(xs):
+        assert bound == -math.inf
+
+
 @settings(max_examples=400, deadline=None)
 @given(lo=st.integers(0, 40), width=st.one_of(st.none(), st.integers(1, 300)),
        n_off=st.integers(1, 400), kind=st.sampled_from(
@@ -515,11 +563,11 @@ def _lattice_case_model(ref_model, chain_seed):
                                       sparse=bool(chain_seed % 2)))
 
 
-def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None):
+def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
+                                     res_blocks=1e-3):
     """The throughput result equals plain bisection's; a bad proposal, when
     given, replaces the real one (an offset is in lattice steps from the
     answer).  The returned point holds and the one above is refused."""
-    res_blocks = 1e-3
     want = throughput_lattice_bisection(model, eps, d, res_blocks, tau)
     if bad is not None:
         rate = want[0] + bad * res_blocks if isinstance(bad, int) else bad
@@ -550,6 +598,19 @@ def test_throughput_matches_plain_lattice_bisection(ref_model, chain_seed, tau,
                                          eps, d, tau, mp, bad)
 
 
+@pytest.mark.parametrize("d, tau, res_blocks", [
+    (100, 1, 10.0),         # the reference point, refused at its first step
+    (1, 1, 1e-3),           # a one-slot guarantee, refused at its first step
+    (100001, 3, 1e-3),      # near the stability limit: delay 89228 of 100001
+])
+def test_decided_probes_match_full_minimisation(ref_model, monkeypatch, d, tau,
+                                                res_blocks):
+    # the oracle answers every lattice and delay probe by a full
+    # minimisation over theta; the certified refusals must agree with it
+    _check_against_lattice_bisection(ref_model, 1e-2, d, tau, monkeypatch,
+                                     res_blocks=res_blocks)
+
+
 @pytest.mark.parametrize("bad", [0.0, 1e300, math.inf, math.nan, 50, -50, 1, -1])
 @pytest.mark.parametrize("server, d, tau", [(None, 100, 1), (6.0, 50, 3)])
 def test_bad_rate_proposals_resume_to_the_lattice_maximum(ref_model, monkeypatch,
@@ -573,4 +634,20 @@ def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
-    assert len(calls) <= 100, len(calls)
+    assert len(calls) <= 70, len(calls)
+
+
+@pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])
+def test_infeasible_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
+                                            d, res_blocks):
+    # a point refused at its first lattice step reports the zero-rate
+    # source's delay by doubling from one slot; each probe stops once it is
+    # decided, and one full minimisation reports theta*
+    calls = []
+    log_w = netcal._log_w
+    monkeypatch.setattr(netcal, "_log_w", lambda *a: calls.append(a) or log_w(*a))
+    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+                                          d_guarantee_slots=d,
+                                          resolution_blocks=res_blocks)
+    assert res.infeasible and res.delay_at_lambda.valid
+    assert len(calls) <= 120, len(calls)
