@@ -218,12 +218,13 @@ class _Refused(Exception):
     """A decided search found that no theta meets epsilon."""
 
 
-def _best_theta(source, model, d_slots, log_eps, decide=False):
+def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
     """(theta, ln F_theta(d)) at the minimiser of ln F over the stable set,
     or at the first theta met with ln F <= log_eps while ln F still falls;
     (nan, inf) when no stable theta is found.  ``decide`` stops at the first
     theta met with ln F <= log_eps, or at the best one met once the minorant
-    of the values met lies above log_eps by more than a rounding margin.
+    of the values met lies above log_eps by more than a rounding margin; a
+    decided search meets ``hint`` first.
 
     The bracket comes from the inputs: starting at one over the mean
     service rate, theta halves until ln F is finite and doubles while ln F
@@ -239,6 +240,8 @@ def _best_theta(source, model, d_slots, log_eps, decide=False):
             raise _Refused
         return fx
     try:
+        if decide and hint is not None and f(hint) <= log_eps:
+            return hint, seen[hint]
         theta = 1.0 / float(model.pi @ model.rates_blocks)
         fx, hi, f_hi = f(theta), None, math.inf
         while fx == math.inf:
@@ -378,9 +381,10 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     F_theta(d_guarantee) > ln epsilon, monotone in the rate.  This exact
     predicate confirms the rate proposal (its point holds, the next is
     refused) or gallops outward from it and bisects; the reported delay
-    gallops down from the guarantee.  A probe stops at the first theta that
-    meets epsilon or at the first minorant that certifies a refusal, so one
-    full minimisation, at the reported delay, gives theta*.
+    gallops down from the guarantee.  A probe tries the best theta of the
+    point above first, stops at the first theta that meets epsilon or at the
+    first minorant that certifies a refusal, so one full minimisation, at
+    the reported delay, gives theta*.
     """
     d_g = whole_number("d_guarantee_slots", d_guarantee_slots, 0)
     if not resolution_blocks > 0:
@@ -392,10 +396,17 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     def source(k):
         return PeriodicSource(k * resolution_blocks * tau_slots, tau_slots)
 
+    best = {}                   # lattice point -> best theta its probe met
+
     def refused(k):
         src = source(k)
-        return not (d_g >= 1 and _stable(src, model) and
-                    _best_theta(src, model, d_g, log_eps, decide=True)[1] <= log_eps)
+        if not (d_g >= 1 and _stable(src, model)):
+            return True
+        theta, fx = _best_theta(src, model, d_g, log_eps, decide=True,
+                                hint=best.get(k + 1))
+        if not math.isnan(theta):
+            best[k] = theta
+        return not fx <= log_eps
 
     infeasible = refused(1)
     k, top = 0, None

@@ -20,23 +20,28 @@ from .fsmc import FsmcModel
 from .netcal import PeriodicSource
 
 
-# Slots per block of the chain's prefix scan.
+# Words per block of the chain's prefix scan.
 _BLOCK = 64
+# Most maps a word table holds, one per word of draw cells.
+_WORDS = 4096
 
 
 def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     """Simulate the mode chain for n_slots from init_state, or else from pi.
 
     Slot t's draw u maps state s to s - 1 if u < P[s, s-1], to s + 1 if
-    u >= P[s, s-1] + P[s, s]; these maps compose, so the path is a prefix
-    scan.  Each block of ``_BLOCK`` slots steps all L start states at once,
-    then the block ends are chained: the same path as a per-slot walk.
+    u >= P[s, s-1] + P[s, s]; so the map depends on u only through its cell
+    among the distinct thresholds inside (0, 1), one of K cells, and a word
+    of w draws is one of the K**w <= ``_WORDS`` maps of a table.  The maps
+    compose, so the path is a prefix scan: each block of ``_BLOCK`` words
+    steps all L start states with one table lookup per word, the block ends
+    are chained, and the states inside each word follow from the one-draw
+    maps: the same path as a per-slot walk.
     """
     n_slots = whole_number("n_slots", n_slots, 0)
     rng = np.random.default_rng(seed)
-    out = np.empty(n_slots, dtype=np.int64)
     if n_slots == 0:
-        return out
+        return np.empty(0, dtype=np.int64)
     p = model.transition
     n_states = model.n_states
     if init_state is None:
@@ -46,23 +51,44 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     else:
         state = whole_number("init_state", init_state, 0, n_states - 1)
     m = n_slots - 1
-    blk = max(1, min(_BLOCK, m))
-    nb = -(-m // blk)
-    # NaN pads the last block; its pad slots follow the path's end and are cut
-    pad = np.full(nb * blk - m, np.nan)
-    u = np.append(rng.random(m), pad).reshape(nb, blk).T[:, :, None]
     lo = np.append(0.0, np.diagonal(p, -1))
     mid = lo + np.diagonal(p)
-    s = np.arange(n_states, dtype=np.min_scalar_type(n_states))
-    seen = np.empty((blk, nb, n_states), dtype=s.dtype)
-    for j, uj in enumerate(u):
-        seen[j] = s = s - (uj < lo[s]) + (uj >= mid[s])
+    th = np.sort(np.concatenate((lo, mid)))     # th[0] = lo[0] = 0: no cut
+    cuts = th[1:][(th[1:] > th[:-1]) & (th[1:] < 1)]
+    k = len(cuts) + 1
+    w = max((i for i in range(2, 13) if k ** i <= _WORDS), default=1)
+    # one[c, s]: the state a draw in cell c sends s to, read at the cell's
+    # lower end; table[word, s] for a word's cells c_0 + c_1 K + ...
+    at = np.append(0.0, cuts)[:, None]
+    one = (np.arange(n_states) - (at < lo) + (at >= mid)).astype(
+        np.min_scalar_type(n_states))
+    table = one
+    for _ in range(w - 1):
+        table = one[:, table].reshape(-1, n_states)
+    blk = max(1, min(_BLOCK, -(-m // w)))
+    nb = -(-m // (w * blk))
+    u = rng.random(m)
+    # one word of cells per row; the pad words follow the path's end
+    cells = np.zeros((nb * blk, w), dtype=np.min_scalar_type(k))
+    for c in cuts:
+        cells.reshape(-1)[:m] += u >= c
+    del u                       # freed before the output is allocated
+    words = cells @ (n_states * k ** np.arange(w))
+    s = np.arange(n_states, dtype=one.dtype)[:, None]
+    seen = np.empty((blk, n_states, nb), dtype=one.dtype)
+    for j, wj in enumerate(words.reshape(nb, blk).T.copy()):
+        seen[j] = s = table.take(wj + s)
     starts = [state]
-    for row in seen[-1].tolist():
+    for row in seen[-1].T.tolist():
         starts.append(row[starts[-1]])
+    out = np.empty(1 + cells.size, dtype=np.int64)
     out[0] = state
-    out[1:] = seen[:, np.arange(nb), starts[:-1]].T.reshape(-1)[:m]
-    return out
+    path = out[1:].reshape(-1, w)
+    path[:, -1] = seen[:, starts[:-1], np.arange(nb)].T.reshape(-1)
+    prev = out[:-1:w]
+    for i in range(w - 1):
+        prev = path[:, i] = one.T.take(prev * k + cells[:, i])
+    return out[:n_slots]
 
 
 @dataclass(frozen=True)

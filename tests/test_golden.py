@@ -32,6 +32,10 @@ CASES = {
                              "--sweep-axis", "delay_guarantee",
                              "--sweep-start", "1", "--sweep-stop", "200001",
                              "--sweep-step", "100000"],
+    # 13 modes: a state-by-cell index overflows uint8, the chain's words
+    # are two draws long, and the run spans more than one queue chunk
+    "validate_many_modes": ["validate", "--config",
+                            str(GOLDEN / "validate_many_modes.conf")],
 }
 
 

@@ -627,14 +627,15 @@ def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
                                             d, tau):
     # log-domain matrix powers per throughput point at the reference point:
     # one per theta of the rate proposal, plus the exact probes that confirm
-    # it and report the delay
+    # it, the confirming probe starting from the theta of the refused point
+    # above, and report the delay
     calls = []
     log_w = netcal._log_w
     monkeypatch.setattr(netcal, "_log_w", lambda *a: calls.append(a) or log_w(*a))
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
-    assert len(calls) <= 70, len(calls)
+    assert len(calls) <= 56, len(calls)
 
 
 @pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])

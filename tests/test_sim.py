@@ -1,6 +1,7 @@
 """Simulator checks: distributional sanity for the finite-system sampler
 (an oracle in ``oracles``) and the channel paths, the scanned chain path
-held slot for slot to a per-slot walk, exact hand-worked cases for the FIFO
+held slot for slot to a per-slot walk on the model's chains and on random
+birth-death chains, exact hand-worked cases for the FIFO
 queue, the chunked queue held to the whole-array reference in ``oracles``,
 and the queue's delays unchanged when the block unit is rescaled."""
 import dataclasses
@@ -122,6 +123,56 @@ def test_chain_scan_matches_per_slot_walk(ref_model):
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (model.n_states, n, init,
                                                    seed)
+
+
+def _birth_death_chain(rng, n_states, share):
+    """A tridiagonal chain whose crossing probabilities are random or, each
+    with probability ``share``, zero or one of a few shared levels, so that
+    thresholds repeat and some rows never move down, up or stay."""
+    def crossings():
+        shared = rng.choice((0.0, 0.125, 0.25, 0.5), n_states)
+        return np.where(rng.random(n_states) < share, shared,
+                        rng.random(n_states) / 2)
+    up, down = crossings(), crossings()
+    up[-1] = down[0] = 0.0
+    p = (np.diag(1.0 - up - down) + np.diag(up[:-1], 1)
+         + np.diag(down[1:], -1))
+    pi = rng.random(n_states) + 0.05
+    return cc.FsmcModel(transition=p, pi=pi / pi.sum(),
+                        rates_bps_hz=np.ones(n_states),
+                        rates_blocks=np.ones(n_states),
+                        thresholds_linear=np.arange(n_states, dtype=float),
+                        gamma_bar=1.0, t_b_s=1e-3, f_m_hz=1.0)
+
+
+def _word_length(model):
+    """Draws per word: the longest w with K**w <= sim._WORDS, for the K
+    cells that the distinct thresholds inside (0, 1) cut [0, 1) into."""
+    lo = np.append(0.0, np.diagonal(model.transition, -1))
+    mid = lo + np.diagonal(model.transition)
+    k = 1 + len({t for t in np.concatenate((lo, mid)).tolist() if 0 < t < 1})
+    return max(w for w in range(1, 13) if k ** w <= sim._WORDS)
+
+
+def test_word_scan_matches_per_slot_walk_on_random_chains():
+    # n_slots - 1 draws on both sides of a word's and a block's end
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for n_states in range(1, 41):
+        model = _birth_death_chain(rng, n_states, 0.4 * (n_states % 2))
+        w = _word_length(model)
+        seen.add(w)
+        ends = (1, 2, sim._BLOCK, 2 * sim._BLOCK)
+        lengths = {0, 1, 2} | {1 + e * w + d for e in ends for d in (-1, 0, 1)}
+        inits = (None, 0, n_states // 2, n_states - 1)
+        for n, init in itertools.product(sorted(lengths), inits):
+            seed = int(rng.integers(2**32))
+            got = cc.simulate_fsmc(model, n, seed=seed, init_state=init)
+            want = fsmc_path_loop(model, n, seed=seed, init_state=init)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n_states, n, init, seed)
+    # words from twelve draws (no cuts) down to one draw (K**2 > _WORDS)
+    assert {1, 2, 12} <= seen
 
 
 def test_chain_reproducible_and_seed_sensitive(ref_model):
@@ -279,7 +330,7 @@ def test_queue_memory_does_not_grow_with_the_run(ref_model):
     finally:
         tracemalloc.stop()
     assert trace.epochs == 200_000 and trace.undelivered == 0
-    assert peak < 32e6
+    assert peak < 12e6
 
 
 def test_delay_quantile_is_a_whole_slot(ref_model):
