@@ -6,8 +6,9 @@ Verbs:
   validate    one point plus a Monte Carlo delay-violation check
   thresholds  re-estimate mode switching thresholds from capacity
 
-Exit codes: 0 success, 1 configuration or runtime error, 2 a --strict
-check failed (invalid bound, failed simulation check, threshold mismatch).
+Exit codes: 0 success, 1 usage, configuration or runtime error, 2 a
+--strict check failed (invalid bound, failed simulation check, threshold
+mismatch).
 """
 import argparse
 import sys
@@ -22,6 +23,13 @@ _REMOVED_FLAGS = ("--horizon", "--theta-min", "--theta-max", "--theta-points")
 # Every other run parameter's flag is its key with dashes.
 _SHORT_FLAGS = {"d_guarantee_slots": "--d-guarantee",
                 "resolution_blocks": "--resolution", "tau_slots": "--tau"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1); subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError("%s: %s" % (self.prog, message))
 
 
 class _RemovedFlag(argparse.Action):
@@ -110,7 +118,7 @@ def _cmd_thresholds(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdmacal",
         description="Delay-constrained throughput of a randomly spread "
                     "CDMA uplink with linear MMSE detection and adaptive "

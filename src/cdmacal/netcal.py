@@ -32,11 +32,12 @@ marks theta unstable, which for the Z-matrix I - e^{theta delta} (P D)^tau
 is the same test.
 
 ln F is convex in theta (sums and products of log-convex MGFs), so one
-bounded scalar minimisation over the stable set (0, theta_stab) replaces
-any theta grid; theta_stab is the root of theta delta + tau ln rho(P D).
-The stable set is empty when delta >= tau pi Rb.  The epsilon-quantile
-delay bound is the smallest tau_d with min_theta ln F <= ln epsilon, found
-by doubling and bisection because F is non-increasing in tau_d.
+bounded scalar minimisation over the stable set replaces any theta grid;
+the solve alone decides that set, and the bracket comes from the values
+of ln F, +inf outside it.  The stable set is empty when delta >= tau pi
+Rb.  The epsilon-quantile delay bound is the smallest tau_d with min_theta
+ln F <= ln epsilon, found by doubling and bisection because F is
+non-increasing in tau_d.
 
 Throughput is the largest rate on a lattice of spacing ``resolution_blocks``
 that meets the guarantee d.  w_d does not involve delta, so per theta the
@@ -78,8 +79,7 @@ class PeriodicSource:
 
     def log_mgf(self, theta, t):
         """ln Ma(theta, t) for integer slot counts t >= 0 (broadcasts)."""
-        if np.any(np.less(theta, 0)):
-            raise ValueError("theta must be nonnegative")
+        theta = _check_theta(theta)
         t = np.asarray(t)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
@@ -183,14 +183,6 @@ def log_violation_bound(source, model, theta, d_slots):
     return _log_f_solver(model, theta, source.tau_slots, d_slots)(source.delta_blocks)
 
 
-def _log_stability(source, model, theta):
-    """theta delta + tau ln rho(P D): negative exactly on the stable set."""
-    pd = model.transition * np.exp(-theta * model.rates_blocks)
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(np.abs(np.linalg.eigvals(pd)).max())
-    return theta * source.delta_blocks + source.tau_slots * log_rho
-
-
 def _stable(source, model):
     """Whether the stable set is nonempty: delta < tau pi Rb."""
     return source.delta_blocks < source.tau_slots * float(model.pi @ model.rates_blocks)
@@ -226,10 +218,14 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
     of the values met lies above log_eps by more than a rounding margin; a
     decided search meets ``hint`` first.
 
-    The bracket comes from the inputs: starting at one over the mean
-    service rate, theta halves until ln F is finite and doubles while ln F
-    falls.  An upper end where ln F is infinite is moved in to theta_stab,
-    so the bounded minimiser only sees the convex, finite part.
+    The bracket comes from the values of ln F alone, +inf off the stable
+    set and at theta = 0: the walk meets one over the mean service rate,
+    then doubles theta while ln F falls.  Once it meets +inf at hi, it
+    probes midway between theta and hi: +inf moves hi in, a value below
+    ln F(theta) moves theta up, and any other value closes the bracket, so
+    the bounded minimiser only sees the convex, finite part.  The first
+    finite value and the doubling stop at ln F <= log_eps, the midway probes
+    above the first finite value only in a decided search.
     """
     seen, stop = {}, log_eps if decide else -math.inf
 
@@ -242,27 +238,19 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
     try:
         if decide and hint is not None and f(hint) <= log_eps:
             return hint, seen[hint]
-        theta = 1.0 / float(model.pi @ model.rates_blocks)
-        fx, hi, f_hi = f(theta), None, math.inf
-        while fx == math.inf:
-            hi, theta = theta, theta / 2
-            if theta == 0:
-                return math.nan, math.inf
-            fx = f(theta)
-        lo = 0.0
-        while hi is None and fx > log_eps:
-            fn = f(2 * theta)
+        lo = theta = 0.0
+        fx = hi = f_hi = math.inf
+        x = 1.0 / float(model.pi @ model.rates_blocks)
+        while (f_hi == math.inf and theta < x < hi
+               and fx > (stop if lo and hi < math.inf else log_eps)):
+            fn = f(x)
             if fn < fx:
-                lo, theta, fx = theta, 2 * theta, fn
+                lo, theta, fx = theta, x, fn
             else:
-                hi, f_hi = 2 * theta, fn
-        if fx <= log_eps:
-            return theta, fx
-        if f_hi == math.inf:
-            g = lambda th: _log_stability(source, model, th)
-            g_lo, g_hi = g(theta), g(hi)
-            if g_lo < 0 < g_hi:
-                hi, _ = find_root(g, theta, hi, 1e-12 * hi, fa=g_lo, fb=g_hi)
+                hi, f_hi = x, fn
+            x = 2 * theta if hi == math.inf else (theta + hi) / 2
+        if f_hi == math.inf:        # stopped early, or hi is next to theta
+            return (theta, fx) if theta else (math.nan, math.inf)
         x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
         return (x, fun) if fun < fx else (theta, fx)
     except _Refused:

@@ -67,6 +67,20 @@ def test_removed_flags_exit_one(capsys):
     assert "--target-se was removed" in err and "exact" in err
 
 
+def test_usage_errors_exit_one(capsys):
+    # exit 2 is kept for a failed --strict check; --help still exits 0
+    for argv, bad in ((["solve", "--snr-avg-db", "6", "--alpha", "x",
+                        "--f-m-hz", "20"], "--alpha: invalid float value"),
+                      (["solve", *POINT_ARGS, "--bogus"], "--bogus"),
+                      (["thresholds", "--bogus"], "--bogus")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and bad in err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
 def test_sweep_values_out_of_range_exit_one(capsys):
     for axis, start, stop, step, bad in (
             ("epsilon", "0", "0.1", "0.05", "epsilon = 0"),

@@ -352,6 +352,8 @@ def test_delay_bound_input_validation(ref_model):
             cc.log_violation_bound(src, ref_model, bad, 10)
         with pytest.raises(ValueError):
             cc.service_log_mgf(ref_model, bad, 10)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            src.log_mgf(bad, 3)
     for bad in (0, 2.5, -1):
         with pytest.raises(ValueError):
             cc.log_violation_bound(src, ref_model, 0.1, bad)
@@ -361,6 +363,23 @@ def test_delay_bound_input_validation(ref_model):
         cc.PeriodicSource(-1.0)
     with pytest.raises(ValueError):
         cc.PeriodicSource(1.0, tau_slots=0)
+
+
+def test_theta_search_without_a_stable_theta_raises_no_warning():
+    # random_chain's pi is not P's stationary law here (the stationary mean
+    # rate is 1.64 against pi R = 1.95), so _stable admits a batch that no
+    # theta makes stable; the bracket must come from the solve's +inf
+    # verdicts alone, and the minimiser must never meet +inf inside it
+    rng = np.random.default_rng(19530)
+    model = _chain_model(*random_chain(rng, int(rng.integers(1, 6))))
+    src = cc.PeriodicSource(0.9 * 2 * float(model.pi @ model.rates_blocks), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the certificate found here (d 2.6e16 at theta* 9.1e-16) is a
+        # rounding artifact at the float floor of the stability test, so
+        # its value is not checked
+        netcal._best_theta(src, model, 1, math.log(0.3))
+        cc.delay_bound(src, model, 0.3)
 
 
 def test_capacity_limit_is_the_weighted_rate_sum(ref_cfg, ref_model):

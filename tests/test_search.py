@@ -174,15 +174,15 @@ def test_stop_returns_first_point_at_or_below_it():
 
 
 def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
-    counts = {"largesys": 0, "amc": 0, "theta_stab": 0, "min": 0, "min_stop": 0,
+    counts = {"largesys": 0, "amc": 0, "min": 0, "min_stop": 0,
               "proposal_root": 0, "proposal_min": 0}
     proposing = []              # non-empty while the rate proposal runs
 
     def spy_root(site):
         def run(f, a, b, xtol, rtol=RTOL_MIN, fa=None, fb=None):
             counts["proposal_root" if proposing else site] += 1
-            # the thresholds, theta_stab and proposal sites evaluate both
-            # ends for their own sign test and hand the values over
+            # the thresholds and proposal sites evaluate both ends for
+            # their own sign test and hand the values over
             assert [fa is None, fb is None] == [site == "largesys"] * 2
             return check_root(f, a, b, xtol, rtol, fa, fb)
         return run
@@ -202,7 +202,7 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
     rate_proposal = netcal._rate_proposal
     monkeypatch.setattr(largesys, "find_root", spy_root("largesys"))
     monkeypatch.setattr(amc, "find_root", spy_root("amc"))
-    monkeypatch.setattr(netcal, "find_root", spy_root("theta_stab"))
+    monkeypatch.setattr(netcal, "find_root", spy_root("proposal_root"))
     monkeypatch.setattr(netcal, "minimize_bounded", spy_min)
     monkeypatch.setattr(netcal, "_rate_proposal", spy_proposal)
     channel = cc.solve_fixed_point(ref_cfg)
@@ -213,7 +213,7 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
                                               d_guarantee_slots=d, tau_slots=tau)
         assert not res.infeasible and res.delay_at_lambda.valid
     assert counts["largesys"] == 1 and counts["amc"] == 6
-    assert counts["theta_stab"] > 0 and counts["min"] > 0 and counts["min_stop"] > 0
+    assert counts["min"] > 0 and counts["min_stop"] > 0
     assert counts["proposal_min"] == 2 and counts["proposal_root"] > 0
 
 
