@@ -15,12 +15,10 @@ import sys
 
 from .amc import default_mode_table, verify_thresholds
 from .errors import ConfigError, SlowFadingViolation
-from .experiment import (KEYS, REMOVED_REASON, build_spec, parse_config,
-                         render_csv, run_experiment, _fmt)
+from .experiment import (KEYS, build_spec, parse_config, render_csv,
+                         run_experiment, _fmt)
 
-# Flags of the truncated bound, refused by name rather than ignored.
-_REMOVED_FLAGS = ("--horizon", "--theta-min", "--theta-max", "--theta-points")
-# Every other run parameter's flag is its key with dashes.
+# A run parameter's flag is its key with dashes, except for these.
 _SHORT_FLAGS = {"d_guarantee_slots": "--d-guarantee",
                 "resolution_blocks": "--resolution", "tau_slots": "--tau"}
 
@@ -32,11 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("%s: %s" % (self.prog, message))
 
 
-class _RemovedFlag(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise ConfigError("%s was removed: %s" % (option_string, self.const))
-
-
 def _add_common(p, sweep=False):
     p.add_argument("--config", help="path to a key = value config file")
     for key, typ in KEYS.items():
@@ -44,9 +37,6 @@ def _add_common(p, sweep=False):
         if key != "validate" and (sweep or not key.startswith("sweep_")):
             p.add_argument(_SHORT_FLAGS.get(key, "--" + key.replace("_", "-")),
                            dest=key, type=typ, help="overrides config key " + key)
-    for flag in _REMOVED_FLAGS:
-        p.add_argument(flag, action=_RemovedFlag, const=REMOVED_REASON,
-                       help=argparse.SUPPRESS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--strict", action="store_true",
                    help="exit 2 if any bound is invalid or a check fails")
@@ -142,9 +132,6 @@ def build_parser():
                        help="check mode thresholds against the capacity")
     p.add_argument("--config", help="config file supplying a modes: section")
     p.add_argument("--tol-db", type=float, default=0.3)
-    p.add_argument("--target-se", action=_RemovedFlag, help=argparse.SUPPRESS,
-                   const="the capacity is now an exact Gauss-Hermite "
-                         "quadrature, with no sampling error to target")
     p.add_argument("--seed", type=int,
                    help="accepted for compatibility; has no effect (the "
                         "capacity is an exact quadrature)")

@@ -32,12 +32,6 @@ CSV_COLUMNS = (
 )
 
 
-# Keys of the truncated bound, refused by name rather than ignored.
-REMOVED_KEYS = ("horizon_slots", "theta_min", "theta_max", "theta_points")
-REMOVED_REASON = ("the delay bound is now an exact closed-form sum, with no "
-                  "horizon or theta grid to set")
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
     """Fully resolved description of one run (single point or sweep).
@@ -157,9 +151,6 @@ def parse_config(text, overrides=None):
             in_modes = False
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key in REMOVED_KEYS:
-                raise ConfigError("line %d: %r was removed: %s"
-                                  % (lineno, key, REMOVED_REASON))
             if key not in KEYS:
                 raise ConfigError("line %d: unknown key %r" % (lineno, key))
             if not raw:
@@ -188,8 +179,6 @@ def parse_config(text, overrides=None):
 def build_spec(values, mode_rows=None):
     """Assemble an ExperimentSpec from a flat dict of typed values."""
     for key in values:
-        if key in REMOVED_KEYS:
-            raise ConfigError("%r was removed: %s" % (key, REMOVED_REASON))
         if key not in KEYS:
             raise ConfigError("unknown key %r" % key)
     missing = [k for k in _REQUIRED if k not in values]
@@ -219,7 +208,7 @@ def _point_inputs(spec, value):
     return cfg, eps, d_g
 
 
-def evaluate_point(spec, value, seed_seq=None):
+def evaluate_point(spec, value, seed_seq):
     """Compute one sweep point on its own channel model; returns the row dict."""
     cfg, eps, d_g = _point_inputs(spec, value)
     row = {c: "" for c in CSV_COLUMNS}
@@ -254,9 +243,8 @@ def evaluate_point(spec, value, seed_seq=None):
         d_check = bound.d_slots if math.isfinite(bound.d_slots) else d_g
         src = PeriodicSource(result.lambda_blocks * spec.tau_slots,
                              tau_slots=spec.tau_slots)
-        rng_seed = seed_seq if seed_seq is not None else spec.seed
         trace = simulate_fifo_queue(model, src, spec.validate_slots,
-                                    seed=np.random.default_rng(rng_seed))
+                                    seed=np.random.default_rng(seed_seq))
         freq, se = trace.violation_frequency(d_check)
         row["sim_violation_freq"] = freq
         row["sim_violation_se"] = se

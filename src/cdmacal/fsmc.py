@@ -65,10 +65,7 @@ class FsmcModel:
     pi: np.ndarray              # (L,) stationary occupancy, sums to 1
     rates_bps_hz: np.ndarray    # (L,) spectral efficiency per state
     rates_blocks: np.ndarray    # (L,) blocks served per slot per state
-    thresholds_linear: np.ndarray
     gamma_bar: float
-    t_b_s: float
-    f_m_hz: float
 
     @property
     def n_states(self):
@@ -136,8 +133,5 @@ def build_fsmc(cfg, channel):
         pi=_freeze(pi),
         rates_bps_hz=_freeze(table.rates_bps_hz.copy()),
         rates_blocks=_freeze(rates_blocks),
-        thresholds_linear=_freeze(table.thresholds_linear.copy()),
         gamma_bar=float(gamma_bar),
-        t_b_s=float(cfg.t_b_s),
-        f_m_hz=float(cfg.f_m_hz),
     )

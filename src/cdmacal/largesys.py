@@ -28,6 +28,7 @@ from .units import db_to_linear
 # [min(beta,1)*e^-21, 45] are below 1e-13 of the integral's value.
 _LOG_SPAN_LO = 21.0
 _P_MAX = 45.0
+_QUAD_RTOL = 1e-12      # relative change that ends the node-count doubling
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,14 @@ def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def interference_integral(beta, rtol=1e-12):
+def interference_integral(beta):
     """integral_0^inf p*beta/(p+beta) e^-p dp by quadrature.
 
     Evaluated on the log axis (p = e^x) with Gauss-Legendre so the pole at
     p = -beta never sits close to the integration nodes; a plain
     exponential-weight rule loses most of its digits once beta << 1.  The
-    node count is doubled until the result moves by less than rtol.
+    node count doubles from 64 (at most to 2048, else RuntimeError) until
+    the result moves by at most _QUAD_RTOL relative.
     """
     beta = float(beta)
     if not beta > 0 or not math.isfinite(beta):
@@ -106,7 +108,7 @@ def interference_integral(beta, rtol=1e-12):
         p = np.exp(half * x + mid)
         f = beta * p * p / (p + beta) * np.exp(-p)
         val = half * float(np.sum(w * f))
-        if prev is not None and abs(val - prev) <= rtol * abs(val):
+        if prev is not None and abs(val - prev) <= _QUAD_RTOL * abs(val):
             return val
         prev = val
         n *= 2

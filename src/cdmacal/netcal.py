@@ -73,10 +73,6 @@ class PeriodicSource:
             raise ValueError("delta_blocks must be nonnegative and finite")
         whole_number("tau_slots", self.tau_slots, 1)
 
-    @property
-    def mean_rate_blocks(self):
-        return self.delta_blocks / self.tau_slots
-
     def log_mgf(self, theta, t):
         """ln Ma(theta, t) for integer slot counts t >= 0 (broadcasts)."""
         theta = _check_theta(theta)

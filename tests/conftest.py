@@ -26,15 +26,12 @@ def ref_model(ref_cfg, ref_channel):
     return cc.build_fsmc(ref_cfg, ref_channel)
 
 
-def single_state_model(rate_blocks, t_b_s=2e-3):
+def single_state_model(rate_blocks):
     """Degenerate one-state server used for closed-form queueing checks."""
     return cc.FsmcModel(
         transition=np.array([[1.0]]),
         pi=np.array([1.0]),
         rates_bps_hz=np.array([rate_blocks / 4.0]),
         rates_blocks=np.array([float(rate_blocks)]),
-        thresholds_linear=np.array([0.0]),
         gamma_bar=1.0,
-        t_b_s=t_b_s,
-        f_m_hz=0.0,
     )

@@ -4,9 +4,10 @@ Each function recomputes a production quantity by a method that shares no
 code with the library: explicit window counting for the arrival MGF,
 exhaustive path enumeration for the service MGF, a dense ``logsumexp``
 matrix-vector recursion for the service MGF table, truncated sums with a
-geometric tail bound for the delay bound, bisection for the large-system
-fixed point, arbitrary precision for the interference integral's closed
-form, a direct m x m solve for the finite-system SINR, one-dimensional
+geometric tail bound and the closed form in 50-digit arithmetic for the
+delay bound, bisection for the large-system fixed point, arbitrary
+precision for the interference integral's closed form, a direct m x m
+solve for the finite-system SINR, one-dimensional
 adaptive quadrature of the PAM sums for the constellation capacity, a
 per-slot walk for the chain path, and whole-path arrays instead of chunks
 for the FIFO queue's departures.  The exponential SNR density and the dB
@@ -139,6 +140,40 @@ def violation_bound_oracle(pi, p, rates, delta, tau, theta, d, horizon):
     log_tail = (logsumexp(lw + np.log(v)) + a * (1 + (horizon - d) / tau)
                 + log_x - math.log(-math.expm1(log_x)))
     return partial, float(np.logaddexp(partial[-1], log_tail))
+
+
+def log_violation_bound_mp(pi, p, rates, delta, tau, theta, d, dps=50):
+    """ln F_theta(d) = ln w_d z of the netcal closed form, d >= 1, in dps-digit
+    arithmetic: w_d = pi D (P D)^{d-1} by repeated squaring and y by an LU
+    solve, with no log-domain shifts; +inf unless y is finite and >= 1."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        n, theta, a = len(pi), mp.mpf(theta), mp.exp(mp.mpf(theta) * mp.mpf(delta))
+        pd = mp.matrix([[mp.mpf(p[i][j]) * mp.exp(-theta * mp.mpf(rates[j]))
+                         for j in range(n)] for i in range(n)])
+        w = mp.matrix([[mp.mpf(pi[j]) * mp.exp(-theta * mp.mpf(rates[j]))
+                        for j in range(n)]])
+        sq, k = pd, d - 1
+        while k:
+            if k & 1:
+                w = w * sq
+            k >>= 1
+            if k:
+                sq = sq * sq
+        powers = [mp.eye(n)]
+        for _ in range(tau):
+            powers.append(powers[-1] * pd)
+        try:
+            y = mp.lu_solve(mp.eye(n) - a * powers[tau], mp.ones(n, 1))
+        except ZeroDivisionError:
+            return math.inf
+        if not all(mp.isfinite(v) and v >= 1 for v in y):
+            return math.inf
+        z = y
+        for r in range(1, tau):
+            z = z + (1 - mp.mpf(r) / tau + mp.mpf(r) / tau * a) * (powers[r] * y)
+        return float(mp.log((w * z)[0]))
 
 
 def fixed_point_bisection(sigma2, alpha, integral, iters=200):

@@ -183,9 +183,7 @@ def test_acceptance_6_oracle_equivalence(ref_model):
         n = int(rng.integers(2, 5))
         pi, p, rates = random_chain(rng, n, sparse=bool(rng.random() < 0.5))
         model = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
-                             rates_blocks=rates,
-                             thresholds_linear=np.zeros(n), gamma_bar=1.0,
-                             t_b_s=2e-3, f_m_hz=0.0)
+                             rates_blocks=rates, gamma_bar=1.0)
         t = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.05, 5.0))
         want = math.exp(service_log_mgf_enumeration(pi, p, rates, theta, t))

@@ -154,12 +154,12 @@ def test_spec_validation_bounds():
     seed = cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
                           "seed": 7.0}).seed
     assert seed == 7 and type(seed) is int
-    # keys of the former truncated bound are refused by name
+    # keys of the former truncated bound are refused as unknown, by name
     for key in ("horizon_slots", "theta_min", "theta_max", "theta_points"):
-        with pytest.raises(cc.ConfigError, match=r"line \d+: '%s' was removed.*exact"
+        with pytest.raises(cc.ConfigError, match=r"line \d+: unknown key '%s'"
                            % key):
             cc.parse_config(BASE + "%s = 1\n" % key)
-        with pytest.raises(cc.ConfigError, match="'%s' was removed" % key):
+        with pytest.raises(cc.ConfigError, match="unknown key '%s'" % key):
             cc.build_spec({"snr_avg_db": 6.0, "alpha": 0.5, "f_m_hz": 20.0,
                            key: 1})
 
@@ -241,16 +241,20 @@ def test_point_error_is_reported_not_raised():
 
 
 def test_run_experiment_rows_match_evaluate_point():
-    # the one run path: each row is evaluate_point at its child seed; at
-    # epsilon 0.3 the simulated violation frequencies tell the seeds apart
-    spec = cc.parse_config(BASE + "epsilon = 0.3\nsweep_axis = delay_guarantee\n"
-                           "sweep_start = 10\nsweep_stop = 20\nsweep_step = 10\n"
-                           "validate = true\nvalidate_slots = 20000\n")
-    children = np.random.SeedSequence(spec.seed).spawn(2)
-    rows = cc.run_experiment(spec)
-    assert rows == [evaluate_point(spec, v, seed_seq=c)
-                    for v, c in zip([10, 20], children)]
-    assert all(r["sim_violation_freq"] > 0 for r in rows)
+    # the one run path: each row is evaluate_point at its child seed, a point
+    # run's at the first child; at epsilon 0.3 the simulated violation
+    # frequencies tell the seeds apart
+    runs = (("sweep_axis = delay_guarantee\nsweep_start = 10\n"
+             "sweep_stop = 20\nsweep_step = 10\n", [10, 20]),
+            ("d_guarantee_slots = 10\ntau_slots = 5\nseed = 7\n", [None]))
+    for extra, values in runs:
+        spec = cc.parse_config(BASE + "epsilon = 0.3\nvalidate = true\n"
+                               "validate_slots = 20000\n" + extra)
+        children = np.random.SeedSequence(spec.seed).spawn(len(values))
+        rows = cc.run_experiment(spec)
+        assert rows == [evaluate_point(spec, v, c)
+                        for v, c in zip(values, children)]
+        assert all(r["sim_violation_freq"] > 0 for r in rows)
 
 
 def test_metadata_lists_sweep_block():

@@ -5,10 +5,16 @@ change that is meant to move a number regenerates a file by running the
 case's argv with ``--output tests/golden/<name>.csv`` and says why.
 """
 import csv
+from dataclasses import replace
+import math
 from pathlib import Path
 import re
 
+import cdmacal as cc
 from cdmacal.cli import main
+from cdmacal.experiment import KEYS
+
+from oracles import log_violation_bound_mp
 
 GOLDEN = Path(__file__).parent / "golden"
 POINT_ARGS = ["--snr-avg-db", "6", "--alpha", "0.5", "--f-m-hz", "20"]
@@ -54,6 +60,44 @@ def test_cli_output_matches_golden_files(tmp_path):
 def _body(text):
     return next(csv.DictReader(line for line in text.splitlines()
                                if not line.startswith("#")))
+
+
+def _golden_rows(name):
+    """(spec, rows) of a golden CSV; the spec comes from the case's config
+    file or else from the metadata header's key = value lines."""
+    text = (GOLDEN / (name + ".csv")).read_text()
+    conf = GOLDEN / (name + ".conf")
+    meta = "\n".join(m.group(1) for m in re.finditer(r"(?m)^# (\w+ = .*)$", text)
+                     if m.group(1).split()[0] in KEYS)
+    spec = cc.parse_config(conf.read_text() if conf.exists() else meta)
+    rows = csv.DictReader(line for line in text.splitlines()
+                          if not line.startswith("#"))
+    return spec, list(rows)
+
+
+def test_golden_certificates_hold_at_50_digits():
+    # every printed (d, theta*) certifies its row's rate: ln F <= ln epsilon
+    # by the closed form evaluated in 50-digit arithmetic
+    checked = 0
+    for name in CASES:
+        if name == "thresholds":
+            continue
+        spec, rows = _golden_rows(name)
+        for row in rows:
+            d = float(row["delay_bound_slots"])
+            if not math.isfinite(d):
+                continue
+            cfg = replace(spec.system, **{k: float(row[k]) for k in
+                                          ("snr_avg_db", "alpha", "f_m_hz")})
+            model = cc.build_fsmc(cfg, cc.solve_fixed_point(cfg))
+            k = round(float(row["throughput_blocks"]) / spec.resolution_blocks)
+            delta = k * spec.resolution_blocks * spec.tau_slots
+            log_f = log_violation_bound_mp(
+                model.pi, model.transition, model.rates_blocks, delta,
+                spec.tau_slots, float(row["theta_star"]), int(d))
+            assert log_f <= math.log(float(row["epsilon"])), (name, row)
+            checked += 1
+    assert checked == 9
 
 
 def test_validate_verdict_does_not_depend_on_the_block_unit(tmp_path):

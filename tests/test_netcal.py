@@ -36,8 +36,7 @@ GRID = np.geomspace(1e-4, 50.0, 60)
 
 def _chain_model(pi, p, rates):
     return cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
-                        rates_blocks=rates, thresholds_linear=np.zeros(len(pi)),
-                        gamma_bar=1.0, t_b_s=2e-3, f_m_hz=0.0)
+                        rates_blocks=rates, gamma_bar=1.0)
 
 
 def _oracle(model, source, theta, d, horizon):

@@ -140,9 +140,7 @@ def _birth_death_chain(rng, n_states, share):
     pi = rng.random(n_states) + 0.05
     return cc.FsmcModel(transition=p, pi=pi / pi.sum(),
                         rates_bps_hz=np.ones(n_states),
-                        rates_blocks=np.ones(n_states),
-                        thresholds_linear=np.arange(n_states, dtype=float),
-                        gamma_bar=1.0, t_b_s=1e-3, f_m_hz=1.0)
+                        rates_blocks=np.ones(n_states), gamma_bar=1.0)
 
 
 def _word_length(model):
