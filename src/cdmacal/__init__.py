@@ -11,7 +11,7 @@ the channel and queueing stages.
 __version__ = "0.1.0"
 
 from .amc import (Mode, ModeTable, ThresholdCheck, constellation_capacity,
-                  constellation_points, default_mode_table, verify_thresholds)
+                  default_mode_table, verify_thresholds)
 from .errors import ConfigError, SlowFadingViolation
 from .experiment import (ExperimentSpec, build_spec, evaluate_point,
                          metadata_lines, parse_config, render_csv,
@@ -29,8 +29,7 @@ from .units import db_to_linear
 
 __all__ = [
     "Mode", "ModeTable", "ThresholdCheck",
-    "constellation_capacity", "constellation_points", "default_mode_table",
-    "verify_thresholds",
+    "constellation_capacity", "default_mode_table", "verify_thresholds",
     "ConfigError", "SlowFadingViolation",
     "ExperimentSpec", "build_spec", "evaluate_point",
     "metadata_lines", "parse_config", "render_csv", "run_experiment",

@@ -111,6 +111,15 @@ def test_workers_below_one_exit_one(capsys):
         assert capsys.readouterr().err.startswith("config error: workers")
 
 
+def test_thresholds_config_with_unknown_constellation_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "modes.cfg"
+    cfgfile.write_text("modes:\n0 bpsk 0 -inf\n1 8-psk 0.5 -2.8\n",
+                       encoding="utf-8")
+    assert main(["thresholds", "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown constellation '8-psk'" in err
+
+
 def test_missing_config_file_exits_one(capsys):
     code = main(["solve", "--config", "/nonexistent/path.cfg"])
     assert code == 1

@@ -14,7 +14,7 @@ import cdmacal as cc
 from cdmacal.cli import main
 from cdmacal.experiment import KEYS
 
-from oracles import log_violation_bound_mp
+from oracles import constellation_capacity_quadrature, log_violation_bound_mp
 
 GOLDEN = Path(__file__).parent / "golden"
 POINT_ARGS = ["--snr-avg-db", "6", "--alpha", "0.5", "--f-m-hz", "20"]
@@ -98,6 +98,20 @@ def test_golden_certificates_hold_at_50_digits():
             assert log_f <= math.log(float(row["epsilon"])), (name, row)
             checked += 1
     assert checked == 9
+
+
+def test_golden_thresholds_hold_to_the_capacity_oracle():
+    # at every printed switch point the one-dimensional adaptive quadrature
+    # of the PAM sums reads the mode's rate, to acceptance 2's bound
+    text = (GOLDEN / "thresholds.csv").read_text()
+    rows = list(csv.DictReader(line for line in text.splitlines()
+                               if not line.startswith("#")))
+    for row in rows:
+        g = cc.db_to_linear(float(row["estimated_threshold_db"]))
+        err = abs(constellation_capacity_quadrature(row["label"], g)
+                  - float(row["rate_bits_per_symbol"]))
+        assert err <= 1e-5, row
+    assert len(rows) == 6
 
 
 def test_validate_verdict_does_not_depend_on_the_block_unit(tmp_path):
