@@ -22,8 +22,7 @@ from .largesys import (DecoupledChannel, SystemConfig, interference_integral,
                        solve_fixed_point)
 from .netcal import (DelayBoundResult, PeriodicSource, ThroughputResult,
                      capacity_limit, delay_bound,
-                     delay_constrained_throughput, log_violation_bound,
-                     service_log_mgf)
+                     delay_constrained_throughput, log_violation_bound)
 from .sim import QueueTrace, simulate_fifo_queue, simulate_fsmc
 from .units import db_to_linear
 
@@ -39,7 +38,7 @@ __all__ = [
     "solve_fixed_point",
     "DelayBoundResult", "PeriodicSource", "ThroughputResult",
     "capacity_limit", "delay_bound",
-    "delay_constrained_throughput", "log_violation_bound", "service_log_mgf",
+    "delay_constrained_throughput", "log_violation_bound",
     "QueueTrace", "simulate_fifo_queue", "simulate_fsmc", "db_to_linear",
     "__version__",
 ]

@@ -24,8 +24,8 @@ closed form, for tau_d >= 1,
 which converges exactly when e^{theta delta} rho(P D)^tau < 1, the
 effective-capacity stability test.  F_theta(0) >= 1, so every delay bound is
 at least one slot.  ln w_t stays in the log domain (repeated squaring of
-ln(P D) with each output entry shifted by its own maximum), so mass that
-underflows on the linear scale is kept.  On the stable set y >= 1
+ln(P D), each product entry one pairwise log-sum-exp over its terms), so
+mass that underflows on the linear scale is kept.  On the stable set y >= 1
 entrywise, so y and z are solved on the linear scale, where an underflowed
 entry is negligible next to the 1; a solve that is not finite and >= 1
 marks theta unstable, which for the Z-matrix I - e^{theta delta} (P D)^tau
@@ -58,8 +58,6 @@ import numpy as np
 from ._search import find_root, minimize_bounded
 from .errors import whole_number
 
-_FLOOR = np.finfo(float).min                    # shift of an all -inf column
-
 
 @dataclass(frozen=True)
 class PeriodicSource:
@@ -73,20 +71,6 @@ class PeriodicSource:
             raise ValueError("delta_blocks must be nonnegative and finite")
         whole_number("tau_slots", self.tau_slots, 1)
 
-    def log_mgf(self, theta, t):
-        """ln Ma(theta, t) for integer slot counts t >= 0 (broadcasts)."""
-        theta = _check_theta(theta)
-        t = np.asarray(t)
-        if np.any(t < 0):
-            raise ValueError("t must be nonnegative")
-        q, rem = np.divmod(t, self.tau_slots)
-        r = rem / self.tau_slots
-        base = theta * self.delta_blocks * q
-        with np.errstate(divide="ignore"):
-            bump = np.logaddexp(np.log1p(-r), np.log(r) + theta * self.delta_blocks)
-        out = base + np.where(rem == 0, 0.0, bump)
-        return out if out.ndim else float(out)
-
 
 def _check_theta(theta):
     theta = np.asarray(theta, dtype=float)
@@ -96,13 +80,11 @@ def _check_theta(theta):
 
 
 def _log_matmul(a, b):
-    """ln(e^a @ e^b) over the last two axes; each output entry is shifted by
-    its own largest term, so no term underflows before it is summed."""
-    s = a[..., :, :, None] + b[..., None, :, :]
-    top = np.fmax(s.max(axis=-2), _FLOOR)           # all -inf: stays -inf
-    s -= top[..., None, :]
-    out = np.exp(s, out=s).sum(axis=-2)
-    return np.log(out, out=out) + top               # log(0): callers silence it
+    """ln(e^a @ e^b) over the last two axes: each output entry is one
+    pairwise log-sum-exp over its terms, so no term underflows before it is
+    summed, and -inf terms, even a whole column of them, need no shift and
+    raise no warning."""
+    return np.logaddexp.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
 
 
 def _log_kernel(model, theta):
@@ -113,30 +95,17 @@ def _log_kernel(model, theta):
 
 
 def _log_w(row, sq, t):
-    """ln w_t for t >= 1 from (ln(pi D), ln(P D)), by repeated squaring."""
+    """ln w_t for t >= 1 from (ln(pi D), ln(P D)), by repeated squaring of
+    log-domain products; theta may carry leading axes, and a zero entry of
+    pi or P stays an exact -inf."""
     k = t - 1
-    with np.errstate(divide="ignore"):
-        while k:
-            if k & 1:
-                row = _log_matmul(row, sq)
-            k >>= 1
-            if k:
-                sq = _log_matmul(sq, sq)
+    while k:
+        if k & 1:
+            row = _log_matmul(row, sq)
+        k >>= 1
+        if k:
+            sq = _log_matmul(sq, sq)
     return row[..., 0, :]
-
-
-def service_log_mgf(model, theta, t):
-    """ln Ms(theta, t) for an integer t >= 0, exact in the log domain.
-
-    theta may be an array; the result has its shape.
-    """
-    theta = _check_theta(theta)
-    t = whole_number("t", t, 0)
-    if t == 0:
-        out = np.zeros(theta.shape)
-    else:
-        out = np.logaddexp.reduce(_log_w(*_log_kernel(model, theta), t), axis=-1)
-    return out if out.ndim else float(out)
 
 
 def _log_f_solver(model, theta, tau, d_slots):
@@ -145,9 +114,8 @@ def _log_f_solver(model, theta, tau, d_slots):
     first stable delta, and each delta costs one L x L solve."""
     row, lpd = _log_kernel(model, theta)
     powers = [lpd]
-    with np.errstate(divide="ignore"):
-        for _ in range(1, tau):
-            powers.append(_log_matmul(powers[-1], lpd))
+    for _ in range(1, tau):
+        powers.append(_log_matmul(powers[-1], lpd))
     eye, ones, r = np.eye(len(lpd)), np.ones(len(lpd)), np.arange(1, tau) / tau
     log_w = functools.cache(lambda: _log_w(row, lpd, d_slots))
     log_stay, log_move = np.log1p(-r), np.log(r)    # b_r = 1 - r + r e^{theta delta}
@@ -158,15 +126,15 @@ def _log_f_solver(model, theta, tau, d_slots):
                 y = np.linalg.solve(eye - np.exp(theta * delta + powers[-1]), ones)
             except np.linalg.LinAlgError:
                 return math.inf
-            if not np.all((y >= 1) & (y < math.inf)):
+            if not (y.min() >= 1 and y.max() < math.inf):     # false on NaN
                 return math.inf
             z = y
             if tau > 1:
                 log_b = np.logaddexp(log_stay, log_move + theta * delta)
                 for lb, power in zip(log_b, powers):
                     z = z + np.exp(lb + power) @ y
-        if not np.all(z < math.inf):
-            return math.inf
+                if not z.max() < math.inf:
+                    return math.inf
         return float(np.logaddexp.reduce(log_w() + np.log(z)))
     return log_f
 

@@ -3,7 +3,8 @@
 Each function recomputes a production quantity by a method that shares no
 code with the library: explicit window counting for the arrival MGF,
 exhaustive path enumeration for the service MGF, a dense ``logsumexp``
-matrix-vector recursion for the service MGF table, truncated sums with a
+matrix-vector recursion for the service MGF table, 50-digit sums of
+exponentials for the log-domain matrix product, truncated sums with a
 geometric tail bound and the closed form in 50-digit arithmetic for the
 delay bound, bisection for the large-system fixed point, arbitrary
 precision for the interference integral's closed form, a direct m x m
@@ -19,7 +20,9 @@ lives here too, next to its direct-solve reference.  The plain bisections
 over the rate lattice and the delay keep the library's exact ln F and
 answer each probe by a full minimisation over theta: they are what the
 throughput search's rate proposal, galloping and decided probes must
-reproduce.
+reproduce.  The service MGF through the library's log-domain kernel and the
+arrival MGF's closed form were public library functions that only tests
+called; they live here as the quantities the oracles above are held to.
 """
 import functools
 import math
@@ -103,6 +106,50 @@ def service_log_mgf_table_logsumexp(pi, p, rates, thetas, horizon):
         lw = logsumexp(lw[:, :, None] + log_p[None, :, :], axis=1) - decay
         out[:, t] = logsumexp(lw, axis=1)
     return out
+
+
+def service_log_mgf(model, theta, t):
+    """ln Ms(theta, t) for an integer t >= 0 through the library's log-domain
+    kernel ``netcal._log_w``, the repeated squaring every ln F runs; theta
+    may be an array and the result has its shape."""
+    theta = np.asarray(theta, dtype=float)
+    if t == 0:
+        out = np.zeros(theta.shape)
+    else:
+        lw = netcal._log_w(*netcal._log_kernel(model, theta), t)
+        out = np.logaddexp.reduce(lw, axis=-1)
+    return out if out.ndim else float(out)
+
+
+def log_matmul_mp(a, b, dps=50):
+    """ln(e^a @ e^b) over the last two axes, leading axes broadcast, each
+    entry a sum of exponentials in ``dps``-digit arithmetic with its -inf
+    terms dropped, then rounded to float; -inf where every term is."""
+    import mpmath as mp
+
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.empty(lead + (a.shape[-2], b.shape[-1]))
+    with mp.workdps(dps):
+        for *head, i, j in np.ndindex(out.shape):
+            terms = [mp.exp(mp.mpf(x) + mp.mpf(y))
+                     for x, y in zip(a[(*head, i)], b[(*head, slice(None), j)])
+                     if x > -math.inf and y > -math.inf]
+            out[(*head, i, j)] = float(mp.log(mp.fsum(terms))) if terms else -math.inf
+    return out
+
+
+def periodic_log_mgf(source, theta, t):
+    """ln Ma(theta, t) of a ``PeriodicSource`` by its closed form, for
+    integer slot counts t >= 0 (broadcasts)."""
+    q, rem = np.divmod(np.asarray(t), source.tau_slots)
+    r = rem / source.tau_slots
+    a = theta * source.delta_blocks
+    with np.errstate(divide="ignore"):
+        bump = np.logaddexp(np.log1p(-r), np.log(r) + a)
+    out = a * q + np.where(rem == 0, 0.0, bump)
+    return out if out.ndim else float(out)
 
 
 def violation_bound_oracle(pi, p, rates, delta, tau, theta, d, horizon):

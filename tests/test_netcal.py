@@ -2,8 +2,9 @@
 
 The arrival MGF is compared with explicit window counting, the service MGF
 with exhaustive path enumeration and a dense logsumexp recursion, the
-closed-form violation bound with truncated sums and their geometric tail
-bound, and the delay bound with the geometric closed form available for a
+log-domain matrix product with 50-digit sums, the solve's +inf verdicts
+with the ways a float solve fails, the closed-form violation bound with
+truncated sums and their geometric tail bound, and the delay bound with the geometric closed form available for a
 constant-rate server.  Every certificate the searches return is re-checked
 by the oracle sum, and the throughput search is checked for its lattice
 certificate and its degenerate outcomes.  The integer search gallops from a
@@ -26,7 +27,9 @@ from cdmacal import netcal
 
 from conftest import single_state_model
 from oracles import (arrival_log_mgf_enumeration, first_true_bisection,
-                     lattice_refusal, random_chain, service_log_mgf_enumeration,
+                     lattice_refusal, log_matmul_mp, periodic_log_mgf,
+                     random_chain, service_log_mgf,
+                     service_log_mgf_enumeration,
                      service_log_mgf_table_logsumexp,
                      throughput_lattice_bisection, violation_bound_oracle)
 
@@ -81,7 +84,7 @@ def test_arrival_mgf_matches_window_enumeration():
             for theta in (1e-3, 0.3, 4.0):
                 for t in range(0, 13):
                     want = arrival_log_mgf_enumeration(delta * tau, tau, theta, t)
-                    assert src.log_mgf(theta, t) == pytest.approx(
+                    assert periodic_log_mgf(src, theta, t) == pytest.approx(
                         want, abs=1e-12), (delta, tau, theta, t)
 
 
@@ -91,18 +94,18 @@ def test_arrival_mgf_matches_window_enumeration():
 def test_arrival_mgf_window_enumeration_property(delta, tau, theta, t):
     src = cc.PeriodicSource(delta, tau_slots=tau)
     want = arrival_log_mgf_enumeration(delta, tau, theta, t)
-    assert src.log_mgf(theta, t) == pytest.approx(want, abs=1e-9)
+    assert periodic_log_mgf(src, theta, t) == pytest.approx(want, abs=1e-9)
 
 
 def test_arrival_mgf_vector_time_and_zero_rate():
     src = cc.PeriodicSource(1.5, tau_slots=3)
     ts = np.arange(10)
-    vec = src.log_mgf(0.7, ts)
+    vec = periodic_log_mgf(src, 0.7, ts)
     assert vec.shape == (10,)
     assert vec[0] == 0.0
     zero = cc.PeriodicSource(0.0, tau_slots=2)
-    assert np.all(zero.log_mgf(2.0, ts) == 0.0)
-    assert zero.log_mgf(2.0, 7) == 0.0
+    assert np.all(periodic_log_mgf(zero, 2.0, ts) == 0.0)
+    assert periodic_log_mgf(zero, 2.0, 7) == 0.0
 
 
 def test_service_mgf_matches_path_enumeration():
@@ -115,7 +118,7 @@ def test_service_mgf_matches_path_enumeration():
         t = int(rng.integers(1, 9))
         for theta in (0.1, 1.0, 7.3):
             want = service_log_mgf_enumeration(pi, p, rates, theta, t)
-            got = cc.service_log_mgf(model, theta, t)
+            got = service_log_mgf(model, theta, t)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (n, t, theta)
             checked += 1
     assert checked == 300
@@ -129,7 +132,7 @@ def _assert_table_close(got, want):
 
 
 def _table(model, thetas, horizon):
-    return np.stack([cc.service_log_mgf(model, thetas, t)
+    return np.stack([service_log_mgf(model, thetas, t)
                      for t in range(horizon + 1)], axis=-1)
 
 
@@ -160,14 +163,74 @@ def test_service_mgf_table_keeps_mass_a_linear_recursion_underflows():
 
 
 def test_service_mgf_at_time_zero_is_one(ref_model):
-    assert cc.service_log_mgf(ref_model, 0.37, 0) == 0.0
-    assert cc.service_log_mgf(ref_model, 5.0, 0) == 0.0
+    assert service_log_mgf(ref_model, 0.37, 0) == 0.0
+    assert service_log_mgf(ref_model, 5.0, 0) == 0.0
 
 
 def test_service_mgf_decreasing_in_theta(ref_model):
     # e^{-theta S} shrinks pointwise in theta for nonnegative service
-    vals = [cc.service_log_mgf(ref_model, th, 40) for th in (0.01, 0.1, 1.0, 10.0)]
+    vals = [service_log_mgf(ref_model, th, 40) for th in (0.01, 0.1, 1.0, 10.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_log_matmul_matches_50_digit_log_sum_exp(n, batched):
+    # ln(P D) operands: -inf off a tridiagonal band, one all -inf row of the
+    # left factor and one all -inf column of the right, and decays theta R
+    # up to 1500 that underflow on the linear scale; the -inf pattern is
+    # exact, finite entries agree within 4 ulp, and nothing warns
+    rng = np.random.default_rng(n)
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    thetas = np.array([1e-3, 1.0, 50.0]) if batched else np.array(50.0)
+
+    def operand():
+        with np.errstate(divide="ignore"):
+            log_p = np.log(rng.random((n, n)) * band)
+        return log_p - np.multiply.outer(thetas, rng.uniform(0, 30, n))[..., None, :]
+    a, b = operand(), operand()
+    a[..., rng.integers(n), :] = -math.inf
+    b[..., :, rng.integers(n)] = -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = netcal._log_matmul(a, b)
+    want = log_matmul_mp(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin])
+                  <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want[fin])))
+    assert n == 1 or want[fin].min() < -745     # e^x underflows to 0
+
+
+def test_solve_verdicts_are_inf_where_the_float_solve_fails(monkeypatch):
+    # at theta 1, delta 2 against a 2-block server, e^{theta delta} K = 1 and
+    # the solve raises LinAlgError; at delta 1000 e^{theta delta} K overflows
+    # and the solve returns y = -0; at tau 3, delta 1150 against 400 blocks,
+    # y is finite but the b_1 (P D) y term of z overflows, also where w_1
+    # has a zero entry (pi = (1, 0)), which would pair ln 0 with ln inf
+    solver = lambda rate, tau: netcal._log_f_solver(single_state_model(rate), 1.0,
+                                                    tau, 1)
+    assert solver(2.0, 1)(2.0) == math.inf
+    assert solver(2.0, 1)(1000.0) == math.inf
+    assert math.isfinite(solver(400.0, 3)(700.0))
+    assert solver(400.0, 3)(1150.0) == math.inf
+    two = _chain_model(np.array([1.0, 0.0]), np.eye(2), np.array([400.0, 400.0]))
+    assert math.isfinite(netcal._log_f_solver(two, 1.0, 3, 1)(700.0))
+    assert netcal._log_f_solver(two, 1.0, 3, 1)(1150.0) == math.inf
+    # crafted solve outputs: +inf exactly where the former
+    # np.all((y >= 1) & (y < inf)) test refuses y, and otherwise
+    # ln(w_1 . y), with w_1 = pi D = e^{-2} for the 2-block server
+    for y in ([1.0], [2.5], [0.5], [-1.0], [math.nan], [math.inf], [-math.inf],
+              [1.0, math.nan], [math.nan, 1.0], [3.0, 0.99], [3.0, math.inf]):
+        y = np.array(y)
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: y)
+        got = solver(2.0, 1)(1.0)
+        monkeypatch.undo()
+        if np.all((y >= 1) & (y < math.inf)):
+            assert got == float(np.logaddexp.reduce(-2.0 + np.log(y)))
+        else:
+            assert got == math.inf, y
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,17 +410,11 @@ def test_delay_bound_input_validation(ref_model):
     with pytest.raises(ValueError):
         cc.delay_bound(src, ref_model, 1.0)
     for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            cc.log_violation_bound(src, ref_model, bad, 10)
-        with pytest.raises(ValueError):
-            cc.service_log_mgf(ref_model, bad, 10)
         with pytest.raises(ValueError, match="theta must be finite"):
-            src.log_mgf(bad, 3)
+            cc.log_violation_bound(src, ref_model, bad, 10)
     for bad in (0, 2.5, -1):
         with pytest.raises(ValueError):
             cc.log_violation_bound(src, ref_model, 0.1, bad)
-    with pytest.raises(ValueError):
-        cc.service_log_mgf(ref_model, 0.1, -1)
     with pytest.raises(ValueError):
         cc.PeriodicSource(-1.0)
     with pytest.raises(ValueError):
@@ -490,7 +547,6 @@ def test_whole_number_arguments_refused_by_name(ref_cfg, ref_model):
     src = cc.PeriodicSource(1.0)
     calls = {
         "tau_slots": lambda x: cc.PeriodicSource(1.0, tau_slots=x),
-        "t": lambda x: cc.service_log_mgf(ref_model, 0.1, x),
         "d_slots": lambda x: cc.log_violation_bound(src, ref_model, 0.1, x),
         "d_guarantee_slots": lambda x: cc.delay_constrained_throughput(
             ref_cfg, ref_model, epsilon=1e-2, d_guarantee_slots=x),
