@@ -7,21 +7,21 @@ counts match those routines bit for bit; the tests compare them.
 import math
 import sys
 
-_RTOL_MIN = 4 * sys.float_info.epsilon
+_RTOL = 4 * sys.float_info.epsilon
 _SQRT_EPS = math.sqrt(2.2e-16)                  # fmin's own constant
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def find_root(f, a, b, xtol, rtol=_RTOL_MIN, fa=None, fb=None):
+def find_root(f, a, b, xtol, fa=None, fb=None):
     """(x, iterations) for a root of f in [a, b], where f changes sign.
 
-    Stops once the bracket is narrower than xtol + rtol |x|; fa and fb,
-    when given, are f(a) and f(b).  An endpoint root takes 0 iterations.
-    Raises ValueError for a bracket without a sign change or a NaN value
-    of f, and RuntimeError after 100 iterations.
+    Stops once the bracket is narrower than xtol + 4 eps |x| (brentq's
+    smallest rtol); fa and fb, when given, are f(a) and f(b).  An endpoint
+    root takes 0 iterations.  Raises ValueError for a bracket without a
+    sign change or a NaN value of f, and RuntimeError after 100 iterations.
     """
-    if not (xtol > 0 and rtol >= _RTOL_MIN):
-        raise ValueError(f"need xtol > 0 and rtol >= {_RTOL_MIN!r}")
+    if not xtol > 0:
+        raise ValueError("need xtol > 0")
     xpre, xcur = float(a), float(b)
     fpre = f(xpre) if fa is None else fa
     fcur = f(xcur) if fb is None else fb
@@ -39,7 +39,7 @@ def find_root(f, a, b, xtol, rtol=_RTOL_MIN, fa=None, fb=None):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur, iterations

@@ -154,6 +154,19 @@ def test_strict_flags_model_violation(tmp_path, capsys):
     assert code == 2
 
 
+def test_tiny_load_points_exit_zero_with_a_row(capsys):
+    # sigma^2 + alpha rounds to sigma^2 here, or the fixed point's residual
+    # at sigma^2 + alpha rounds to <= 0: each point still solves
+    for snr, alpha in (("6", "1e-20"), ("-400", "0.5"), ("-40", "5e-11")):
+        code = main(["solve", "--snr-avg-db", snr, "--alpha", alpha,
+                     "--f-m-hz", "20"])
+        assert code == 0, (snr, alpha)
+        header, row = [l for l in capsys.readouterr().out.splitlines()
+                       if not l.startswith("#")]
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["alpha"] == alpha and fields["error"] == ""
+
+
 def test_validate_verb_populates_sim_columns(tmp_path):
     out = tmp_path / "v.csv"
     code = main(["validate", *POINT_ARGS, "--validate-slots", "20000",

@@ -1,8 +1,8 @@
 """Fixed-point solver checks against independent oracles.
 
 The interference integral is validated three ways: plain Monte Carlo over
-the exponential weight, adaptive quadrature from scipy (a different
-algorithm on a different axis), and the special-function closed form.  The
+the exponential weight, adaptive quadrature from scipy, and the
+special-function closed form in 50-digit arithmetic.  The
 fixed point itself is checked against a plain bisection that never runs the
 production root finder.
 """
@@ -49,13 +49,16 @@ def test_integral_matches_monte_carlo():
 @pytest.mark.parametrize("beta", [1e-4, 1e-2, 0.359, 1.0, 7.3, 1e2, 1e4])
 def test_integral_matches_adaptive_quadrature(beta):
     assert interference_integral(beta) == pytest.approx(
-        _quad_integral(beta), rel=1e-9)
+        _quad_integral(beta), rel=1e-9, abs=0)
 
 
 def test_integral_matches_closed_form_over_wide_range():
-    for beta in np.geomspace(1e-4, 1e4, 25):
-        ref = interference_integral_closed_form(beta)
-        assert interference_integral(beta) == pytest.approx(ref, rel=1e-10)
+    # fifty points a decade, so many on each side of the series/continued
+    # fraction switch at beta = 1
+    for beta in np.geomspace(1e-30, 1e30, 3001):
+        ref = interference_integral_closed_form(beta, dps=50)
+        assert interference_integral(beta) == pytest.approx(
+            ref, rel=4e-15, abs=0)
 
 
 def test_integral_elementary_bounds():
@@ -63,6 +66,18 @@ def test_integral_elementary_bounds():
     for beta in (1e-3, 0.25, 1.0, 40.0):
         val = interference_integral(beta)
         assert 0 < val < min(1.0, beta)
+    # at the ends of the float range I rounds to beta and to 1
+    for beta in (1e-300, 1e300):
+        assert 0 < interference_integral(beta) <= min(1.0, beta)
+
+
+def test_integral_nondecreasing_across_the_switch():
+    # I' is about 0.21 at beta = 1, so each 1e-12 step raises I by about
+    # 2e-13, far more than the rounding of either side: a jump at the
+    # switch would show
+    betas = 1.0 + np.linspace(-1e-9, 1e-9, 2001)
+    vals = [interference_integral(b) for b in betas]
+    assert np.all(np.diff(vals) >= 0)
 
 
 def test_fixed_point_golden_values():
@@ -97,6 +112,17 @@ def test_beta_monotone_in_load_and_noise():
         lo = cc.solve_fixed_point(cc.SystemConfig(snr_avg_db=s2, alpha=a1, f_m_hz=1.0))
         hi = cc.solve_fixed_point(cc.SystemConfig(snr_avg_db=s1, alpha=a1, f_m_hz=1.0))
         assert lo.beta <= hi.beta  # more noise, larger effective variance
+
+
+def test_tiny_load_keeps_beta_in_its_bracket():
+    # loads so small that sigma^2 + alpha rounds to sigma^2, or the
+    # residual at sigma^2 + alpha rounds to <= 0
+    for snr_db in (-40.0, -20.0, 0.0, 6.0, 20.0, 40.0):
+        for alpha in np.geomspace(1e-22, 1e-10, 400):
+            cfg = cc.SystemConfig(snr_avg_db=snr_db, alpha=float(alpha),
+                                  f_m_hz=20.0)
+            beta = cc.solve_fixed_point(cfg).beta
+            assert cfg.sigma2 <= beta <= cfg.sigma2 + alpha, (snr_db, alpha)
 
 
 def test_zero_load_reduces_to_noise_only():
