@@ -80,10 +80,10 @@ class ModeTable:
     """Validated, ordered collection of AMC modes.
 
     Mode 0 must be the outage mode (rate 0, threshold -inf dB); rates and
-    thresholds must be strictly increasing; every label must name a known
-    constellation (``bpsk``, ``qpsk``, ``16-qam``, ``64-qam``; case,
-    dashes and underscores are ignored), whose capacity is one
-    one-dimensional Gauss-Hermite rule per PAM axis.
+    thresholds must be strictly increasing and, above mode 0, finite; every
+    label must name a known constellation (``bpsk``, ``qpsk``, ``16-qam``,
+    ``64-qam``; case, dashes and underscores are ignored), whose capacity is
+    one one-dimensional Gauss-Hermite rule per PAM axis.
     """
 
     def __init__(self, modes):
@@ -105,11 +105,14 @@ class ModeTable:
                 raise ConfigError(
                     f"thresholds must be strictly increasing: mode {b.index} has "
                     f"{b.threshold_db} dB after {a.threshold_db} dB")
+            if math.isinf(b.rate_bps_hz) or math.isinf(b.threshold_db):
+                raise ConfigError(
+                    f"mode {b.index} needs a finite rate and threshold, got "
+                    f"{b.rate_bps_hz} and {b.threshold_db} dB")
         self.modes = modes
         self.rates_bps_hz = np.array([m.rate_bps_hz for m in modes])
-        self.thresholds_db = np.array([m.threshold_db for m in modes])
-        self.thresholds_linear = db_to_linear(self.thresholds_db)
-        for arr in (self.rates_bps_hz, self.thresholds_db, self.thresholds_linear):
+        self.thresholds_linear = db_to_linear(np.array([m.threshold_db for m in modes]))
+        for arr in (self.rates_bps_hz, self.thresholds_linear):
             arr.flags.writeable = False
 
     def __len__(self):

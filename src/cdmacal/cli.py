@@ -13,10 +13,9 @@ mismatch).
 import argparse
 import sys
 
-from .amc import default_mode_table, verify_thresholds
+from .amc import verify_thresholds
 from .errors import ConfigError, SlowFadingViolation
-from .experiment import (KEYS, build_spec, parse_config, render_csv,
-                         run_experiment, _fmt)
+from .experiment import KEYS, parse_config, render_csv, run_experiment, _fmt
 
 # A run parameter's flag is its key with dashes, except for these.
 _SHORT_FLAGS = {"d_guarantee_slots": "--d-guarantee",
@@ -42,15 +41,22 @@ def _add_common(p, sweep=False):
                    help="exit 2 if any bound is invalid or a check fails")
 
 
+def _read_config(path):
+    """The text of the config file at path, or "" when path is unset."""
+    if not path:
+        return ""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8 text (%s)" % (path, exc.reason)) from None
+
+
 def _build_spec(args):
     # a verb lacks the flags of some keys; None marks a key left unset
     overrides = {k: getattr(args, k, None) for k in KEYS}
     overrides.update(args.extra)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return parse_config(text, overrides=overrides)
-    return build_spec({k: v for k, v in overrides.items() if v is not None})
+    return parse_config(_read_config(args.config), overrides=overrides)
 
 
 def _write(text, dest):
@@ -85,15 +91,9 @@ def _run_points(args):
 
 
 def _cmd_thresholds(args):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            spec = parse_config(fh.read(), overrides={"snr_avg_db": 0.0,
-                                                      "alpha": 0.5,
-                                                      "f_m_hz": 1.0})
-        table = spec.system.modes
-    else:
-        table = default_mode_table()
-    checks = verify_thresholds(table, tol_db=args.tol_db)
+    spec = parse_config(_read_config(args.config),
+                        overrides={"snr_avg_db": 0.0, "alpha": 0.5, "f_m_hz": 1.0})
+    checks = verify_thresholds(spec.system.modes, tol_db=args.tol_db)
     lines = ["# tol_db = %s" % _fmt(args.tol_db),
              "mode,label,rate_bits_per_symbol,table_threshold_db,"
              "estimated_threshold_db,error_db,solvable,within_tol"]

@@ -220,15 +220,16 @@ def evaluate_point(spec, value, seed_seq):
     row["epsilon"] = eps
     row["delay_guarantee_slots"] = d_g
     try:
-        model = build_fsmc(cfg, solve_fixed_point(cfg))
+        channel = solve_fixed_point(cfg)
+        model = build_fsmc(cfg, channel)
         result = delay_constrained_throughput(
             cfg, model, epsilon=eps, d_guarantee_slots=d_g,
             resolution_blocks=spec.resolution_blocks, tau_slots=spec.tau_slots)
     except SlowFadingViolation as exc:
         row["error"] = str(exc)
         return row
-    row["beta"] = 1.0 / model.gamma_bar
-    row["gamma_bar"] = model.gamma_bar
+    row["beta"] = 1.0 / channel.gamma_bar
+    row["gamma_bar"] = channel.gamma_bar
     row["capacity_limit_bps"] = result.c_lim_bps
     row["throughput_blocks"] = result.lambda_blocks
     row["throughput_bps"] = result.lambda_bps
@@ -252,10 +253,6 @@ def evaluate_point(spec, value, seed_seq):
     return row
 
 
-def _worker(payload):
-    return evaluate_point(*payload)
-
-
 def run_experiment(spec, workers=1):
     """Evaluate every sweep point; returns the list of CSV row dicts.
 
@@ -264,13 +261,13 @@ def run_experiment(spec, workers=1):
     if workers < 1:
         raise ConfigError("workers must be at least 1, got %r" % (workers,))
     values = spec.sweep_values()
-    children = np.random.SeedSequence(spec.seed).spawn(len(values))
-    payloads = [(spec, v, c) for v, c in zip(values, children)]
+    args = ([spec] * len(values), values,
+            np.random.SeedSequence(spec.seed).spawn(len(values)))
     if workers > 1 and len(values) > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=min(workers, len(values))) as pool:
-            return list(pool.map(_worker, payloads))
-    return list(map(_worker, payloads))
+            return list(pool.map(evaluate_point, *args))
+    return list(map(evaluate_point, *args))
 
 
 def _fmt(x):

@@ -65,7 +65,6 @@ class FsmcModel:
     pi: np.ndarray              # (L,) stationary occupancy, sums to 1
     rates_bps_hz: np.ndarray    # (L,) spectral efficiency per state
     rates_blocks: np.ndarray    # (L,) blocks served per slot per state
-    gamma_bar: float
 
     @property
     def n_states(self):
@@ -133,5 +132,4 @@ def build_fsmc(cfg, channel):
         pi=_freeze(pi),
         rates_bps_hz=_freeze(table.rates_bps_hz.copy()),
         rates_blocks=_freeze(rates_blocks),
-        gamma_bar=float(gamma_bar),
     )

@@ -106,21 +106,17 @@ def interference_integral(beta):
     return beta * (1.0 - r) / (beta + 1.0 - r)
 
 
-def solve_fixed_point(cfg, alpha=None):
+def solve_fixed_point(cfg):
     """Solve the large-system fixed point for beta and gamma_bar = 1/beta.
 
     The excess x = beta - sigma^2 solves h(x) = x - alpha I(sigma^2 + x),
     which is negative at 0 and positive at alpha (0 < I < 1), so one Brent
     root search on [0, alpha] finds the unique root, and sigma^2 <= beta <=
-    sigma^2 + alpha holds however small alpha is next to sigma^2.  At zero
-    load x = 0 is an endpoint root: beta is sigma^2 exactly, after 0
-    iterations.
+    sigma^2 + alpha holds however small alpha is next to sigma^2.  Where
+    alpha I(sigma^2) underflows (alpha = 5e-324, say), x = 0 is an endpoint
+    root: beta is sigma^2 exactly, after 0 iterations.
     """
-    if alpha is None:
-        alpha = cfg.alpha
-    if not 0 <= alpha < math.inf:
-        raise ValueError("alpha must be nonnegative and finite")
-    sigma2 = cfg.sigma2
+    sigma2, alpha = cfg.sigma2, cfg.alpha
     h = lambda x: x - alpha * interference_integral(sigma2 + x)
     x, iterations = find_root(h, 0.0, alpha, sys.float_info.min)
     beta = sigma2 + x

@@ -72,13 +72,6 @@ class PeriodicSource:
         whole_number("tau_slots", self.tau_slots, 1)
 
 
-def _check_theta(theta):
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta) & (theta >= 0)):
-        raise ValueError("theta must be finite and nonnegative")
-    return theta
-
-
 def _log_matmul(a, b):
     """ln(e^a @ e^b) over the last two axes: each output entry is one
     pairwise log-sum-exp over its terms, so no term underflows before it is
@@ -142,7 +135,9 @@ def _log_f_solver(model, theta, tau, d_slots):
 def log_violation_bound(source, model, theta, d_slots):
     """ln F_theta(d) for an integer d >= 1 by the closed form; +inf where
     theta lies outside the stable set."""
-    theta = float(_check_theta(theta))
+    theta = float(theta)
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError("theta must be finite and nonnegative")
     d_slots = whole_number("d_slots", d_slots, 1)
     return _log_f_solver(model, theta, source.tau_slots, d_slots)(source.delta_blocks)
 
@@ -223,11 +218,11 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
 
 @dataclass(frozen=True)
 class DelayBoundResult:
-    """epsilon-quantile delay bound and the exponent that certifies it."""
+    """epsilon-quantile delay bound and the exponent that certifies it;
+    epsilon stays with the caller."""
 
     d_slots: float              # smallest certified delay, or inf
     theta_star: float           # theta with ln F_theta(d) <= ln eps (nan when d is inf)
-    epsilon: float
     valid: bool                 # the exact certificate is finite
     unstable: bool              # the stable set is empty
 
@@ -260,18 +255,19 @@ def _delay_search(source, model, epsilon, top=None):
     """``delay_bound``, galloping down from ``top`` when it certifies."""
     if _stable(source, model):
         log_eps = math.log(epsilon)
-        probe = functools.cache(
-            lambda d: _best_theta(source, model, d, log_eps, decide=True))
-        # No stable theta (nan) comes from the solve for y, which does not
-        # involve d, so it holds at every delay and ends the search at d = 1.
-        d = _first_true(lambda d: math.isnan(probe(d)[0]) or probe(d)[1] <= log_eps,
-                        0, top, top)
+
+        def holds(d):
+            # No stable theta (nan) comes from the solve for y, which does not
+            # involve d, so it holds at every delay and ends the search at d = 1.
+            theta, fx = _best_theta(source, model, d, log_eps, decide=True)
+            return math.isnan(theta) or fx <= log_eps
+        d = _first_true(holds, 0, top, top)
         theta = _best_theta(source, model, d, log_eps)[0]
         if not math.isnan(theta):
             return DelayBoundResult(d_slots=float(d), theta_star=theta,
-                                    epsilon=epsilon, valid=True, unstable=False)
+                                    valid=True, unstable=False)
     return DelayBoundResult(d_slots=math.inf, theta_star=math.nan,
-                            epsilon=epsilon, valid=False, unstable=True)
+                            valid=False, unstable=True)
 
 
 def delay_bound(source, model, epsilon):
@@ -292,15 +288,12 @@ def capacity_limit(cfg, model):
 
 @dataclass(frozen=True)
 class ThroughputResult:
-    """Largest lattice arrival rate whose delay bound meets the guarantee."""
+    """Largest lattice arrival rate whose delay bound meets the guarantee;
+    epsilon, the guarantee, the lattice spacing and tau stay with the caller."""
 
     lambda_blocks: float        # per-user arrival rate, blocks per slot
     lambda_bps: float           # aggregate bits per second: alpha*lambda*Nb/Tb
     c_lim_bps: float
-    epsilon: float
-    d_guarantee_slots: int
-    resolution_blocks: float
-    tau_slots: int
     delay_at_lambda: DelayBoundResult
     infeasible: bool            # the first lattice point is refused
 
@@ -370,7 +363,5 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     lam = k * resolution_blocks
     return ThroughputResult(
         lambda_blocks=lam, lambda_bps=lam * (cfg.alpha * cfg.n_b_bits / cfg.t_b_s),
-        c_lim_bps=capacity_limit(cfg, model), epsilon=epsilon,
-        d_guarantee_slots=d_g, resolution_blocks=resolution_blocks,
-        tau_slots=tau_slots, infeasible=infeasible,
+        c_lim_bps=capacity_limit(cfg, model), infeasible=infeasible,
         delay_at_lambda=_delay_search(source(k), model, epsilon, top))

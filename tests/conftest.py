@@ -33,5 +33,4 @@ def single_state_model(rate_blocks):
         pi=np.array([1.0]),
         rates_bps_hz=np.array([rate_blocks / 4.0]),
         rates_blocks=np.array([float(rate_blocks)]),
-        gamma_bar=1.0,
     )

@@ -184,7 +184,7 @@ def test_acceptance_6_oracle_equivalence(ref_model):
         n = int(rng.integers(2, 5))
         pi, p, rates = random_chain(rng, n, sparse=bool(rng.random() < 0.5))
         model = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
-                             rates_blocks=rates, gamma_bar=1.0)
+                             rates_blocks=rates)
         t = int(rng.integers(1, 9))
         theta = float(rng.uniform(0.05, 5.0))
         want = math.exp(service_log_mgf_enumeration(pi, p, rates, theta, t))
@@ -219,14 +219,14 @@ def test_acceptance_7_degenerate_identities(ref_model):
     t0 = time.perf_counter()
     problems = []
 
-    cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0)
-    ch = cc.solve_fixed_point(cfg, alpha=0.0)
+    # alpha I(sigma^2) underflows at the smallest positive load
+    cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=5e-324, f_m_hz=20.0)
+    ch = cc.solve_fixed_point(cfg)
     if ch.beta != cfg.sigma2:
         problems.append(f"zero load: beta {ch.beta} != sigma2 {cfg.sigma2}")
 
-    frozen = cc.build_fsmc(
-        cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=0.0),
-        cc.solve_fixed_point(cfg))
+    frozen_cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=0.0)
+    frozen = cc.build_fsmc(frozen_cfg, cc.solve_fixed_point(frozen_cfg))
     if not np.array_equal(frozen.transition, np.eye(frozen.n_states)):
         problems.append("zero Doppler: transition matrix is not the identity")
 

@@ -163,6 +163,13 @@ def test_table_validation_rejects_malformed_rows():
     bad_outage[0] = (0, "bpsk", 0.25, -math.inf)
     with pytest.raises(ValueError):
         ModeTable.from_rows(bad_outage)
+    # an infinite rate gives an infinite capacity limit, and a mode above an
+    # infinite threshold is never used
+    for row in ((1, "bpsk", math.inf, 3.0), (1, "bpsk", 0.5, math.inf)):
+        with pytest.raises(cc.ConfigError, match="mode 1 needs a finite"):
+            ModeTable.from_rows([TABLE_ROWS[0], row])
+    with pytest.raises(cc.ConfigError, match="mode 6 needs a finite"):
+        ModeTable.from_rows([*TABLE_ROWS[:-1], (6, "64-qam", 4.5, math.inf)])
 
 
 def test_mode_is_immutable():

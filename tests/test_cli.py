@@ -120,6 +120,26 @@ def test_thresholds_config_with_unknown_constellation_exits_one(tmp_path, capsys
     assert err.startswith("config error:") and "unknown constellation '8-psk'" in err
 
 
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "bin.cfg"
+    cfgfile.write_bytes(b"snr_avg_db = 6\n\xff\xfe\n")
+    for verb in ("solve", "thresholds"):
+        assert main([verb, "--config", str(cfgfile)]) == 1, verb
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfgfile) in err, verb
+        assert err.count("\n") == 1 and "Traceback" not in err, verb
+
+
+def test_infinite_mode_rate_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "modes.cfg"
+    cfgfile.write_text("snr_avg_db = 6\nalpha = 0.5\nf_m_hz = 20\n"
+                       "modes:\n0 bpsk 0 -inf\n1 bpsk inf 3.0\n", encoding="utf-8")
+    for verb in ("solve", "thresholds"):
+        assert main([verb, "--config", str(cfgfile)]) == 1, verb
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mode 1") and "finite" in err, verb
+
+
 def test_missing_config_file_exits_one(capsys):
     code = main(["solve", "--config", "/nonexistent/path.cfg"])
     assert code == 1

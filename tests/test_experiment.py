@@ -295,8 +295,8 @@ def test_worker_pool_capped_at_the_point_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     spec = cc.parse_config(BASE + "sweep_axis = delay_guarantee\n"

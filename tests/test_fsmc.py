@@ -71,7 +71,7 @@ def test_transition_matrix_golden_values(ref_model):
     p = ref_model.transition
     assert p.shape == (7, 7)
     for (i, j), want in GOLDEN_P6.items():
-        assert p[i, j] == pytest.approx(want, rel=1e-13), (i, j)
+        assert p[i, j] == pytest.approx(want, rel=1e-13, abs=0), (i, j)
     mask = np.zeros((7, 7), dtype=bool)
     for i, j in GOLDEN_P6:
         mask[i, j] = True
@@ -133,7 +133,7 @@ def test_stationary_is_exact_not_approximate(ref_model):
     p, pi = ref_model.transition, ref_model.pi
     for l in range(ref_model.n_states - 1):
         assert pi[l] * p[l, l + 1] == pytest.approx(
-            pi[l + 1] * p[l + 1, l], rel=1e-12)
+            pi[l + 1] * p[l + 1, l], rel=1e-12, abs=0)
 
 
 def test_zero_doppler_freezes_the_chain():
@@ -150,9 +150,9 @@ def test_crossing_probabilities_scale_with_doppler():
     n = m1.n_states
     for l in range(n - 1):
         assert m2.transition[l, l + 1] == pytest.approx(
-            2 * m1.transition[l, l + 1], rel=1e-12)
+            2 * m1.transition[l, l + 1], rel=1e-12, abs=0)
         assert m2.transition[l + 1, l] == pytest.approx(
-            2 * m1.transition[l + 1, l], rel=1e-12)
+            2 * m1.transition[l + 1, l], rel=1e-12, abs=0)
 
 
 def test_fast_fading_rejected_with_state_list():
@@ -168,7 +168,7 @@ def test_block_rates_at_reference_point(ref_model):
     # rate_bps_hz * w * t_b / n_b blocks per slot for the default numerology;
     # the product 2e-3 * 2e7 / 1e4 is not exact in binary, hence approx
     assert ref_model.rates_blocks == pytest.approx(
-        [0.0, 2.0, 4.0, 6.0, 9.0, 12.0, 18.0], rel=1e-12)
+        [0.0, 2.0, 4.0, 6.0, 9.0, 12.0, 18.0], rel=1e-12, abs=0)
 
 
 def test_level_crossing_rate_shape(ref_channel):

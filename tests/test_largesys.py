@@ -126,13 +126,13 @@ def test_tiny_load_keeps_beta_in_its_bracket():
 
 
 def test_zero_load_reduces_to_noise_only():
-    for snr_db in (-20.0, -5.0, 0.0, 6.0, 20.0, 40.0):
-        cfg = cc.SystemConfig(snr_avg_db=snr_db, alpha=0.5, f_m_hz=20.0)
-        ch = cc.solve_fixed_point(cfg, alpha=0.0)
+    # the smallest load SystemConfig accepts: alpha I(sigma^2) underflows to
+    # 0, so sigma^2 is an endpoint root of the bracket and no iteration runs
+    for snr_db in (-40.0, -20.0, -5.0, 0.0, 6.0, 20.0, 40.0, 300.0):
+        cfg = cc.SystemConfig(snr_avg_db=snr_db, alpha=5e-324, f_m_hz=20.0)
+        ch = cc.solve_fixed_point(cfg)
         assert ch.beta == cfg.sigma2
         assert ch.gamma_bar == pytest.approx(1.0 / cfg.sigma2, rel=1e-15)
-        # sigma^2 is an endpoint root of the zero-width bracket: no
-        # iteration runs
         assert ch.iterations == 0, snr_db
 
 

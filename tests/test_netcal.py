@@ -35,11 +35,13 @@ from oracles import (arrival_log_mgf_enumeration, first_true_bisection,
 
 # the theta grid of the former truncated bound, kept as a yardstick
 GRID = np.geomspace(1e-4, 50.0, 60)
+# delay_constrained_throughput's default lattice spacing
+RES = 1e-3
 
 
 def _chain_model(pi, p, rates):
     return cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
-                        rates_blocks=rates, gamma_bar=1.0)
+                        rates_blocks=rates)
 
 
 def _oracle(model, source, theta, d, horizon):
@@ -48,7 +50,7 @@ def _oracle(model, source, theta, d, horizon):
                                   source.tau_slots, theta, d, horizon)
 
 
-def _assert_certificate(model, source, bound):
+def _assert_certificate(model, source, bound, epsilon=1e-2):
     """The oracle's upper bound on F at (d, theta*) meets epsilon; the
     horizon doubles until it does or the oracle's tail is negligible."""
     assert bound.valid and math.isfinite(bound.d_slots)
@@ -56,10 +58,10 @@ def _assert_certificate(model, source, bound):
     horizon = d + 1000
     for _ in range(8):
         partial, upper = _oracle(model, source, bound.theta_star, d, horizon)
-        if upper <= math.log(bound.epsilon) or upper - partial[-1] < 1e-12:
+        if upper <= math.log(epsilon) or upper - partial[-1] < 1e-12:
             break
         horizon *= 2
-    assert upper <= math.log(bound.epsilon), (source, bound, upper)
+    assert upper <= math.log(epsilon), (source, bound, upper)
 
 
 def _grid_delay(model, source, eps, theta):
@@ -305,7 +307,7 @@ def test_zero_arrivals_reduce_to_service_suffix_sums(ref_model):
             best = min(best, int(hit[0]))
     res = cc.delay_bound(src, ref_model, eps)
     assert 1 <= res.d_slots <= best
-    _assert_certificate(ref_model, src, res)
+    _assert_certificate(ref_model, src, res, eps)
 
 
 def test_delay_bound_monotone_in_epsilon(ref_model):
@@ -344,7 +346,7 @@ def test_delay_bound_matches_oracle_sums(ref_model):
                 if load > 1:
                     assert res.unstable and not res.valid
                     continue
-                _assert_certificate(ref_model, src, res)
+                _assert_certificate(ref_model, src, res, eps)
                 d = int(res.d_slots)
                 for theta in GRID[::3] if d > 1 else ():
                     got = cc.log_violation_bound(src, ref_model, theta, d - 1)
@@ -400,7 +402,7 @@ def test_slow_stable_load_is_certified_not_unstable(ref_model):
         assert res.valid and not res.unstable
         assert cc.log_violation_bound(src, ref_model, res.theta_star,
                                       int(res.d_slots)) <= math.log(eps)
-    _assert_certificate(ref_model, src, res)
+    _assert_certificate(ref_model, src, res, eps)
 
 
 def test_delay_bound_input_validation(ref_model):
@@ -448,13 +450,13 @@ def test_throughput_search_returns_lattice_certificate(ref_cfg, ref_model):
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=100)
     assert not res.infeasible
-    k = res.lambda_blocks / res.resolution_blocks
+    k = res.lambda_blocks / RES
     assert k == pytest.approx(round(k), abs=1e-9)
     assert res.delay_at_lambda.d_slots <= 100
     _assert_certificate(ref_model, cc.PeriodicSource(res.lambda_blocks),
                         res.delay_at_lambda)
     # the next lattice point fails the guarantee
-    above = cc.PeriodicSource(res.lambda_blocks + res.resolution_blocks)
+    above = cc.PeriodicSource(res.lambda_blocks + RES)
     assert cc.delay_bound(above, ref_model, 1e-2).d_slots > 100
     assert res.lambda_bps == pytest.approx(
         ref_cfg.alpha * res.lambda_blocks * ref_cfg.n_b_bits / ref_cfg.t_b_s)
@@ -481,7 +483,7 @@ def test_bursty_source_certifies_the_exact_rate(ref_cfg, ref_model):
     assert res.delay_at_lambda.d_slots <= 100
     _assert_certificate(ref_model, cc.PeriodicSource(5 * res.lambda_blocks, 5),
                         res.delay_at_lambda)
-    above = cc.PeriodicSource(5 * (res.lambda_blocks + res.resolution_blocks), 5)
+    above = cc.PeriodicSource(5 * (res.lambda_blocks + RES), 5)
     assert cc.delay_bound(above, ref_model, 1e-2).d_slots > 100
 
 
@@ -507,7 +509,7 @@ def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
     assert res.infeasible
     assert res.lambda_blocks == 0.0
     # the first lattice point is refused: its delay bound exceeds 0 slots
-    first = cc.PeriodicSource(res.resolution_blocks)
+    first = cc.PeriodicSource(RES)
     assert cc.delay_bound(first, ref_model, 1e-2).d_slots > 0
 
 
@@ -526,7 +528,7 @@ def test_deterministic_server_saturates_to_its_rate(ref_cfg):
     res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
                                           d_guarantee_slots=50)
     assert not res.infeasible
-    assert 6.0 - 2.5 * res.resolution_blocks <= res.lambda_blocks <= 6.0 + 1e-9
+    assert 6.0 - 2.5 * RES <= res.lambda_blocks <= 6.0 + 1e-9
 
 
 def test_throughput_input_validation(ref_cfg, ref_model):

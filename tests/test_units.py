@@ -10,10 +10,10 @@ from oracles import linear_to_db
 
 def test_known_conversions():
     assert db_to_linear(0.0) == 1.0
-    assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
-    assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
+    assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15, abs=0)
+    assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15, abs=0)
     assert linear_to_db(1.0) == 0.0
-    assert linear_to_db(100.0) == pytest.approx(20.0, rel=1e-15)
+    assert linear_to_db(100.0) == pytest.approx(20.0, rel=1e-15, abs=0)
 
 
 def test_roundtrip_scalar_and_array():
