@@ -181,6 +181,9 @@ def build_spec(values, mode_rows=None):
     for key in values:
         if key not in KEYS:
             raise ConfigError("unknown key %r" % key)
+    axis = values.get("sweep_axis")
+    if swept := axis in _SYSTEM_KEYS and "sweep_start" in values:
+        values = {**values, axis: values["sweep_start"]}   # the first point
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError("missing required keys: %s" % ", ".join(missing))
@@ -192,7 +195,9 @@ def build_spec(values, mode_rows=None):
         return ExperimentSpec(system=system, **{k: v for k, v in values.items()
                                                 if k not in _SYSTEM_KEYS})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        at = swept and str(exc).startswith(axis + " ")
+        raise ConfigError(("sweep %s = %s: " % (axis, _fmt(values[axis])) if at
+                           else "") + str(exc)) from exc
 
 
 def _point_inputs(spec, value):

@@ -71,10 +71,26 @@ class FsmcModel:
         return len(self.pi)
 
     @functools.cached_property
-    def log_chain(self):
-        """(ln pi, ln P), -inf where an entry is 0; formed once per model."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.pi), np.log(self.transition)
+    def birth_death(self):
+        """netcal's form of the chain, formed once per model: ln sqrt(P_ij P_ji)
+        (ln P_ii on the diagonal), ln pi and the bands of P as lists.  Names the
+        first entry off the band, or rate pair with one rate zero or flows apart
+        by more than build_fsmc's rounding, 4u / (1 - u)^2 with u = eps / 2."""
+        p, pi, eps = self.transition, self.pi, np.finfo(float).eps
+        up, down = np.diagonal(p, 1), np.diagonal(p, -1)
+        flow, back = pi[:-1] * up, pi[1:] * down
+        for bad, msg in (
+                ((np.triu(p, 2) + np.tril(p, -2)).any(axis=1),
+                 "transition row {i} has an entry off the tridiagonal band"),
+                (((up == 0) != (down == 0))
+                 | (np.abs(flow - back) > 2 * eps / (1 - eps) * np.maximum(flow, back)),
+                 "pi[{i}] transition[{i}, {j}] and pi[{j}] transition[{j}, {i}]: one "
+                 "rate is zero or the flows differ (no detailed balance)")):
+            for i in np.flatnonzero(bad)[:1]:
+                raise ValueError(msg.format(i=i, j=i + 1))
+        with np.errstate(divide="ignore"):     # sqrt(x x) is x above 1.5e-154
+            return (np.log(np.sqrt(p * p.T)), np.log(pi), up.tolist(),
+                    np.diagonal(p).tolist(), down.tolist())
 
     def stationary_mismatch(self):
         """l1 norm of pi P - pi; a diagnostic, expected at rounding level."""

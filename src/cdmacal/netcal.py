@@ -15,42 +15,38 @@ bounded by
 
     F_theta(tau_d) = sum_{s >= tau_d} Ma(theta, s - tau_d) Ms(theta, s).
 
-Summing over q first turns this into a matrix geometric series with the
-closed form, for tau_d >= 1,
+Summing over q first gives a matrix geometric series.  The chain is a
+reversible birth-death chain (Keilson 1979), so P D = G^-1 M G with g_j =
+sqrt(pi_j e^{-theta Rb_j}) and M_ij = sqrt(P_ij P_ji) e^{-theta (Rb_i +
+Rb_j) / 2} symmetric, and with M = V Lambda V^T, for tau_d >= 1,
 
-    F_theta(tau_d) = w_{tau_d} z,   z = sum_{r < tau} b_r (P D)^r y,
-    y = (I - e^{theta delta} (P D)^tau)^{-1} 1,
+    F_theta(tau_d) = sum_k c_k lambda_k^{tau_d - 1} (sum_{r < tau} b_r lambda_k^r)
+                     / (1 - e^{theta delta} lambda_k^tau),   c_k = (v_k . g)^2,
 
-which converges exactly when e^{theta delta} rho(P D)^tau < 1, the
-effective-capacity stability test.  F_theta(0) >= 1, so every delay bound is
-at least one slot.  ln w_t stays in the log domain (repeated squaring of
-ln(P D), each product entry one pairwise log-sum-exp over its terms), so
-mass that underflows on the linear scale is kept.  On the stable set y >= 1
-entrywise, so y and z are solved on the linear scale, where an underflowed
-entry is negligible next to the 1; a solve that is not finite and >= 1
-marks theta unstable, which for the Z-matrix I - e^{theta delta} (P D)^tau
-is the same test.
+converging exactly when e^{theta delta} lambda_1^tau < 1 (the effective-
+capacity test, lambda_1 the Perron root): one eigensolve per theta, then
+O(L tau) work per delta and tau_d.  F_theta(0) >= 1, so every delay bound
+is at least one slot.
 
 ln F is convex in theta (sums and products of log-convex MGFs), so one
 bounded scalar minimisation over the stable set replaces any theta grid;
-the solve alone decides that set, and the bracket comes from the values
-of ln F, +inf outside it.  The stable set is empty when delta >= tau pi
-Rb.  The epsilon-quantile delay bound is the smallest tau_d with min_theta
-ln F <= ln epsilon, found by doubling and bisection because F is
+the Perron test alone decides that set, and the bracket comes from the
+values of ln F, +inf outside it.  The stable set is empty when delta >=
+tau pi Rb.  The epsilon-quantile delay bound is the smallest tau_d with
+min_theta ln F <= ln epsilon, found by doubling and bisection because F is
 non-increasing in tau_d.
 
 Throughput is the largest rate on a lattice of spacing ``resolution_blocks``
-that meets the guarantee d.  w_d does not involve delta, so per theta the
-batch delta*(theta) with ln F_theta(d) = ln epsilon is a root over L x L
-solves, and max_theta delta*(theta) / tau (the effective-bandwidth /
-effective-capacity duality) proposes the rate.  The exact lattice predicate
-confirms it, or gallops outward from it and bisects; the reported delay
-gallops down from d.  Each probe is decided: it holds at the first theta
-with ln F <= ln epsilon, and is refused once chord lines through the values
-met bound the convex ln F above ln epsilon; one full minimisation reports theta*.
+that meets the guarantee d.  Per theta the batch delta*(theta) with ln
+F_theta(d) = ln epsilon is a root, and max_theta delta*(theta) / tau (the
+effective-bandwidth / effective-capacity duality) proposes the rate.  The
+exact lattice predicate confirms it, or gallops outward from it and
+bisects; the reported delay gallops down from d.  Each probe is decided:
+it holds at the first theta with ln F <= ln epsilon, and is refused once
+chord lines through the values met bound the convex ln F above ln
+epsilon; one full minimisation reports theta*.
 """
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -72,63 +68,71 @@ class PeriodicSource:
         whole_number("tau_slots", self.tau_slots, 1)
 
 
-def _log_matmul(a, b):
-    """ln(e^a @ e^b) over the last two axes: each output entry is one
-    pairwise log-sum-exp over its terms, so no term underflows before it is
-    summed, and -inf terms, even a whole column of them, need no shift and
-    raise no warning."""
-    return np.logaddexp.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
-
-
-def _log_kernel(model, theta):
-    """ln(pi D) as a one-row matrix and ln(P D); theta may carry leading axes."""
-    decay = np.multiply.outer(theta, model.rates_blocks)
-    log_pi, log_p = model.log_chain
-    return (log_pi - decay)[..., None, :], log_p - decay[..., None, :]
-
-
-def _log_w(row, sq, t):
-    """ln w_t for t >= 1 from (ln(pi D), ln(P D)), by repeated squaring of
-    log-domain products; theta may carry leading axes, and a zero entry of
-    pi or P stays an exact -inf."""
-    k = t - 1
-    while k:
-        if k & 1:
-            row = _log_matmul(row, sq)
-        k >>= 1
-        if k:
-            sq = _log_matmul(sq, sq)
-    return row[..., 0, :]
+def _perron_gap(up, diag, down, decay, m_off, y):
+    """mu_1 = 1 - lambda_1 of M (band m_off) as y.y / y.(I - M)^-1 y, y ~ its
+    Perron vector, by an L D L^T elimination with pivots summed from positive
+    terms (I - P D has row sums sum_j P_ij (1 - e^{-theta R_j})); 0 if singular."""
+    q, dec = (-np.expm1(-decay)).tolist(), np.exp(-decay).tolist()
+    row, z, quad = diag[0] * q[0], y[0], 0.0    # row: row sum of row i
+    try:
+        for i in range(len(y) - 1):
+            row += up[i] * q[i + 1]
+            piv = row + up[i] * dec[i + 1]
+            quad += z * z / piv
+            row = diag[i + 1] * q[i + 1] + down[i] * (q[i] + dec[i] / piv * row)
+            z = y[i + 1] + m_off[i] / piv * z
+        quad += z * z / row
+    except ZeroDivisionError:
+        return 0.0
+    return sum(v * v for v in y) / quad
 
 
 def _log_f_solver(model, theta, tau, d_slots):
-    """delta -> ln F_theta(d) at one theta, tau and d, +inf where delta is
-    unstable: ln (P D)^r for r <= tau is formed once, ln w_d once at the
-    first stable delta, and each delta costs one L x L solve."""
-    row, lpd = _log_kernel(model, theta)
-    powers = [lpd]
-    for _ in range(1, tau):
-        powers.append(_log_matmul(powers[-1], lpd))
-    eye, ones, r = np.eye(len(lpd)), np.ones(len(lpd)), np.arange(1, tau) / tau
-    log_w = functools.cache(lambda: _log_w(row, lpd, d_slots))
-    log_stay, log_move = np.log1p(-r), np.log(r)    # b_r = 1 - r + r e^{theta delta}
+    """delta -> ln F_theta(d), +inf where delta is unstable.  Per theta, eigh
+    of M (ln M, ln g scaled by their largest entries: no mass underflows)
+    gives c_k and r_k = lambda_k / lambda_1 (lambda_1 > 1/2 by _perron_gap);
+    per delta, the sum of the L tau terms c_k r_k^{d-1+r} b_r lambda_1^r /
+    (1 - e^{theta delta} lambda_k^tau) plus its rounding bound L (d + tau +
+    1) eps S, or where it cancels below that, S = sum |terms|, bounds F."""
+    log_sym, log_pi, up, diag, down = model.birth_death
+    decay = theta * model.rates_blocks
+    log_m = log_sym - (decay[:, None] + decay) / 2
+    top = log_m.max()
+    lam, vec = np.linalg.eigh(np.exp(log_m - top))
+    log_lam1 = math.log(lam[-1]) + top
+    if log_lam1 > -math.log(2):
+        log_lam1 = math.log1p(-_perron_gap(
+            up, diag, down, decay, np.exp(np.diagonal(log_m, 1)).tolist(),
+            np.abs(vec[:, -1]).tolist()))
+    log_g = log_pi - decay
+    g_top, power = log_g.max(), np.arange(d_slots - 1, d_slots - 1 + tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.log(np.square(np.exp((log_g - g_top) / 2) @ vec[:, ::-1]))
+        log_ratio = np.minimum(np.log(np.abs(lam[::-1] / lam[-1])), 0.0)
+        log_head = log_c[:, None] + np.where(power > 0, log_ratio[:, None] * power, 0.0)
+        if tau > 1:     # ln b_r lambda_1^r, b_r = 1 - r/tau + (r/tau) e^{theta delta}
+            r = np.arange(tau)
+            log_stay, log_move = (np.log1p(-r / tau) + r * log_lam1,
+                                  np.log(r / tau) + r * log_lam1)
+    tau_log_lam = tau * (log_ratio + log_lam1)
+    flip = (neg := lam[::-1] < 0) & (tau % 2 == 1)      # lambda_k^tau < 0
+    sign = np.where(neg[:, None] & (power % 2 == 1), -1.0, 1.0) if neg[-1] else None
+    common = g_top + (d_slots - 1) * log_lam1
+    bound = math.ulp(1.0) * len(lam) * (d_slots + tau + 1)
 
     def log_f(delta):
-        with np.errstate(over="ignore"):
-            try:
-                y = np.linalg.solve(eye - np.exp(theta * delta + powers[-1]), ones)
-            except np.linalg.LinAlgError:
-                return math.inf
-            if not (y.min() >= 1 and y.max() < math.inf):     # false on NaN
-                return math.inf
-            z = y
-            if tau > 1:
-                log_b = np.logaddexp(log_stay, log_move + theta * delta)
-                for lb, power in zip(log_b, powers):
-                    z = z + np.exp(lb + power) @ y
-                if not z.max() < math.inf:
-                    return math.inf
-        return float(np.logaddexp.reduce(log_w() + np.log(z)))
+        e = theta * delta + tau_log_lam         # ln |e^{theta delta} lambda_k^tau|
+        if not e[0] < 0:                        # the Perron term diverges
+            return math.inf
+        den = -np.expm1(e) if sign is None else np.where(flip, 1 + np.exp(e),
+                                                          -np.expm1(e))
+        t = log_head - np.log(den)[:, None]
+        if tau > 1:
+            t += np.logaddexp(log_stay, log_move + theta * delta)
+        w = np.exp(t - (t_top := t.max()))
+        total = w.sum()
+        s = total if sign is None else (sign * w).sum() + bound * total
+        return float(common + t_top + math.log(s if s > 2 * bound * total else total))
     return log_f
 
 
@@ -257,7 +261,7 @@ def _delay_search(source, model, epsilon, top=None):
         log_eps = math.log(epsilon)
 
         def holds(d):
-            # No stable theta (nan) comes from the solve for y, which does not
+            # No stable theta (nan) comes from the Perron test, which does not
             # involve d, so it holds at every delay and ends the search at d = 1.
             theta, fx = _best_theta(source, model, d, log_eps, decide=True)
             return math.isnan(theta) or fx <= log_eps

@@ -88,6 +88,29 @@ def random_chain(rng, n_states, max_rate=3.0, sparse=False):
     return pi, p, rates
 
 
+def random_birth_death_chain(rng, n_states, max_rate=3.0, outage=None):
+    """Random tridiagonal chain (pi, P, rates) with pi in detailed balance
+    with P, built as ``build_fsmc`` builds its chain: each edge carries a
+    flow c_l = pi_l P_{l,l+1} = pi_{l+1} P_{l+1,l}, and each rate is c_l
+    over pi.  Each state splits its room to move between its two edges, and
+    an edge may take all the room both ends give it, so self-loops reach 0
+    (exactly, where one state's room decides).  ``outage`` (drawn with
+    probability 0.3 when None) zeroes the bottom state's rate."""
+    pi = rng.random(n_states) + 0.05
+    pi /= pi.sum()
+    share = rng.random(n_states)            # room for the up edge, of 1
+    share[0], share[-1] = 1.0, 0.0          # an end state has one edge
+    use = np.where(rng.random(n_states) < 0.3, 1.0, rng.random(n_states))
+    flow = use[:-1] * np.minimum(pi[:-1] * share[:-1], pi[1:] * (1 - share[1:]))
+    up, down = flow / pi[:-1], flow / pi[1:]
+    p = np.diag(up, 1) + np.diag(down, -1)
+    p[np.diag_indices(n_states)] = np.maximum(1.0 - p.sum(axis=1), 0.0)
+    rates = np.sort(rng.random(n_states)) * max_rate
+    if rng.random() < 0.3 if outage is None else outage:
+        rates[0] = 0.0                      # outage-style bottom state
+    return pi, p, rates
+
+
 def service_log_mgf_table_logsumexp(pi, p, rates, thetas, horizon):
     """ln Ms(theta, t) rows for t = 0..horizon by a dense log-domain
     vector-matrix product per slot: w <- logsumexp_i(w_i + ln P_ij) - theta R_j."""
@@ -108,17 +131,78 @@ def service_log_mgf_table_logsumexp(pi, p, rates, thetas, horizon):
     return out
 
 
+def log_matmul(a, b):
+    """ln(e^a @ e^b) over the last two axes: each output entry is one
+    pairwise log-sum-exp over its terms, so no term underflows before it is
+    summed, and -inf terms, even a whole column of them, need no shift and
+    raise no warning."""
+    return np.logaddexp.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
+
+
+def _log_chain(pi, p, rates, theta):
+    """ln(pi D) as a one-row matrix and ln(P D), -inf where an entry is 0;
+    theta may carry leading axes."""
+    decay = np.multiply.outer(theta, np.asarray(rates, dtype=float))
+    with np.errstate(divide="ignore"):
+        log_pi, log_p = np.log(pi), np.log(p)
+    return (log_pi - decay)[..., None, :], log_p - decay[..., None, :]
+
+
+def log_w(row, sq, t):
+    """ln w_t = ln(pi D (P D)^{t-1}) for t >= 1 from (ln(pi D), ln(P D)), by
+    repeated squaring of log-domain products; theta may carry leading axes,
+    and a zero entry of pi or P stays an exact -inf."""
+    k = t - 1
+    while k:
+        if k & 1:
+            row = log_matmul(row, sq)
+        k >>= 1
+        if k:
+            sq = log_matmul(sq, sq)
+    return row[..., 0, :]
+
+
 def service_log_mgf(model, theta, t):
-    """ln Ms(theta, t) for an integer t >= 0 through the library's log-domain
-    kernel ``netcal._log_w``, the repeated squaring every ln F runs; theta
-    may be an array and the result has its shape."""
+    """ln Ms(theta, t) for an integer t >= 0 through the log-domain kernel
+    ``log_w`` on any chain; theta may be an array and the result has its
+    shape."""
     theta = np.asarray(theta, dtype=float)
     if t == 0:
         out = np.zeros(theta.shape)
     else:
-        lw = netcal._log_w(*netcal._log_kernel(model, theta), t)
+        lw = log_w(*_log_chain(model.pi, model.transition, model.rates_blocks,
+                               theta), t)
         out = np.logaddexp.reduce(lw, axis=-1)
     return out if out.ndim else float(out)
+
+
+def log_violation_bound_log_domain(pi, p, rates, delta, tau, theta, d):
+    """ln F_theta(d) = ln w_d z of the netcal closed form, d >= 1, on any
+    chain: ln w_d by ``log_w``, ln (P D)^r for r <= tau by log-domain
+    products, and y = (I - e^{theta delta} (P D)^tau)^{-1} 1 and z by an
+    L x L solve on the linear scale; +inf unless y is finite and >= 1 and
+    z is finite (the former library kernel)."""
+    row, lpd = _log_chain(pi, p, rates, float(theta))
+    powers = [lpd]
+    for _ in range(1, tau):
+        powers.append(log_matmul(powers[-1], lpd))
+    n = len(lpd)
+    r = np.arange(1, tau) / tau
+    with np.errstate(over="ignore"):
+        try:
+            y = np.linalg.solve(np.eye(n) - np.exp(theta * delta + powers[-1]),
+                                np.ones(n))
+        except np.linalg.LinAlgError:
+            return math.inf
+        if not (y.min() >= 1 and y.max() < math.inf):
+            return math.inf
+        z = y
+        log_b = np.logaddexp(np.log1p(-r), np.log(r) + theta * delta)
+        for lb, power in zip(log_b, powers):
+            z = z + np.exp(lb + power) @ y
+        if not z.max() < math.inf:
+            return math.inf
+    return float(np.logaddexp.reduce(log_w(row, lpd, d) + np.log(z)))
 
 
 def log_matmul_mp(a, b, dps=50):
@@ -191,15 +275,23 @@ def violation_bound_oracle(pi, p, rates, delta, tau, theta, d, horizon):
     return partial, float(np.logaddexp(partial[-1], log_tail))
 
 
-def log_violation_bound_mp(pi, p, rates, delta, tau, theta, d, dps=50):
+def log_violation_bound_mp(pi, p, rates, delta, tau, theta, d, dps=50,
+                           stochastic=False):
     """ln F_theta(d) = ln w_d z of the netcal closed form, d >= 1, in dps-digit
     arithmetic: w_d = pi D (P D)^{d-1} by repeated squaring and y by an LU
-    solve, with no log-domain shifts; +inf unless y is finite and >= 1."""
+    solve, with no log-domain shifts; +inf unless y is finite and >= 1.
+    ``stochastic`` takes the chain whose diagonal is P_ii = 1 - sum_{j != i}
+    P_ij at full precision, the chain the float P only rounds; otherwise the
+    float P is taken as exact."""
     import mpmath as mp
 
     with mp.workdps(dps):
         n, theta, a = len(pi), mp.mpf(theta), mp.exp(mp.mpf(theta) * mp.mpf(delta))
-        pd = mp.matrix([[mp.mpf(p[i][j]) * mp.exp(-theta * mp.mpf(rates[j]))
+        chain = [[mp.mpf(p[i][j]) for j in range(n)] for i in range(n)]
+        if stochastic:
+            for i in range(n):
+                chain[i][i] = 1 - mp.fsum(chain[i][j] for j in range(n) if j != i)
+        pd = mp.matrix([[chain[i][j] * mp.exp(-theta * mp.mpf(rates[j]))
                          for j in range(n)] for i in range(n)])
         w = mp.matrix([[mp.mpf(pi[j]) * mp.exp(-theta * mp.mpf(rates[j]))
                         for j in range(n)]])

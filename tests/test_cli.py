@@ -164,6 +164,23 @@ def test_sweep_over_guarantee(tmp_path):
     assert body[2].startswith("delay_guarantee,120,")
 
 
+def test_sweep_over_a_system_axis_takes_its_base_from_the_start(tmp_path):
+    # the swept key needs no base value of its own: the header reports the
+    # first point, also where a different base is given
+    for extra in ([], ["--alpha", "0.5"]):
+        out = tmp_path / "alpha.csv"
+        code = main(["sweep", "--snr-avg-db", "6", "--f-m-hz", "20", *extra,
+                     "--sweep-axis", "alpha", "--sweep-start", "0.25",
+                     "--sweep-stop", "1.5", "--sweep-step", "0.25",
+                     "--output", str(out)])
+        assert code == 0, extra
+        text = _read(out)
+        assert "# alpha = 0.25\n" in text
+        body = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+        assert [row[3] for row in body[1:]] == ["0.25", "0.5", "0.75", "1",
+                                                "1.25", "1.5"]
+
+
 def test_strict_flags_model_violation(tmp_path, capsys):
     code = main(["solve", "--snr-avg-db", "6", "--alpha", "0.5",
                  "--f-m-hz", "2000", "--output", str(tmp_path / "x.csv")])

@@ -77,7 +77,8 @@ def _golden_rows(name):
 
 def test_golden_certificates_hold_at_50_digits():
     # every printed (d, theta*) certifies its row's rate: ln F <= ln epsilon
-    # by the closed form evaluated in 50-digit arithmetic
+    # by the closed form evaluated in 50-digit arithmetic, both on the float
+    # P and on the stochastic chain it rounds (P_ii = 1 - sum_{j != i} P_ij)
     checked = 0
     for name in CASES:
         if name == "thresholds":
@@ -92,10 +93,13 @@ def test_golden_certificates_hold_at_50_digits():
             model = cc.build_fsmc(cfg, cc.solve_fixed_point(cfg))
             k = round(float(row["throughput_blocks"]) / spec.resolution_blocks)
             delta = k * spec.resolution_blocks * spec.tau_slots
-            log_f = log_violation_bound_mp(
-                model.pi, model.transition, model.rates_blocks, delta,
-                spec.tau_slots, float(row["theta_star"]), int(d))
-            assert log_f <= math.log(float(row["epsilon"])), (name, row)
+            for stochastic in (False, True):
+                log_f = log_violation_bound_mp(
+                    model.pi, model.transition, model.rates_blocks, delta,
+                    spec.tau_slots, float(row["theta_star"]), int(d),
+                    stochastic=stochastic)
+                assert log_f <= math.log(float(row["epsilon"])), (name, row,
+                                                                  stochastic)
             checked += 1
     assert checked == 9
 

@@ -2,24 +2,26 @@
 
 The arrival MGF is compared with explicit window counting, the service MGF
 with exhaustive path enumeration and a dense logsumexp recursion, the
-log-domain matrix product with 50-digit sums, the solve's +inf verdicts
-with the ways a float solve fails, the closed-form violation bound with
-truncated sums and their geometric tail bound, and the delay bound with the geometric closed form available for a
-constant-rate server.  Every certificate the searches return is re-checked
-by the oracle sum, and the throughput search is checked for its lattice
-certificate and its degenerate outcomes.  The integer search gallops from a
-guess to plain bisection's answer within a probe budget, and the throughput
-search, whatever its rate proposal, returns what plain bisection over the
-rate lattice and the delay returns, each of its probes answered there by a
-full minimisation.  The chord-line minorant that certifies a refusal never
-exceeds the minimum of a random convex function.
+oracles' log-domain matrix product with 50-digit sums, the spectral closed
+form with the log-domain kernel it replaced, with 50-digit arithmetic at
+the edge of its stable set and with truncated sums and their geometric
+tail bound, and the delay bound with the geometric closed form available
+for a constant-rate server.  Every certificate the searches return is
+re-checked by the oracle sum, and the throughput search is checked for its
+lattice certificate and its degenerate outcomes.  The integer search
+gallops from a guess to plain bisection's answer within a probe budget,
+and the throughput search, whatever its rate proposal, returns what plain
+bisection over the rate lattice and the delay returns, each of its probes
+answered there by a full minimisation.  The chord-line minorant that
+certifies a refusal never exceeds the minimum of a random convex function.
+A chain that is not a reversible birth-death chain is refused by name.
 """
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cdmacal as cc
@@ -27,9 +29,10 @@ from cdmacal import netcal
 
 from conftest import single_state_model
 from oracles import (arrival_log_mgf_enumeration, first_true_bisection,
-                     lattice_refusal, log_matmul_mp, periodic_log_mgf,
-                     random_chain, service_log_mgf,
-                     service_log_mgf_enumeration,
+                     lattice_refusal, log_matmul, log_matmul_mp,
+                     log_violation_bound_log_domain, log_violation_bound_mp,
+                     periodic_log_mgf, random_birth_death_chain, random_chain,
+                     service_log_mgf, service_log_mgf_enumeration,
                      service_log_mgf_table_logsumexp,
                      throughput_lattice_bisection, violation_bound_oracle)
 
@@ -195,7 +198,7 @@ def test_log_matmul_matches_50_digit_log_sum_exp(n, batched):
     b[..., :, rng.integers(n)] = -math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = netcal._log_matmul(a, b)
+        got = log_matmul(a, b)
     want = log_matmul_mp(a, b)
     assert got.shape == want.shape
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
@@ -205,44 +208,34 @@ def test_log_matmul_matches_50_digit_log_sum_exp(n, batched):
     assert n == 1 or want[fin].min() < -745     # e^x underflows to 0
 
 
-def test_solve_verdicts_are_inf_where_the_float_solve_fails(monkeypatch):
-    # at theta 1, delta 2 against a 2-block server, e^{theta delta} K = 1 and
-    # the solve raises LinAlgError; at delta 1000 e^{theta delta} K overflows
-    # and the solve returns y = -0; at tau 3, delta 1150 against 400 blocks,
-    # y is finite but the b_1 (P D) y term of z overflows, also where w_1
-    # has a zero entry (pi = (1, 0)), which would pair ln 0 with ln inf
-    solver = lambda rate, tau: netcal._log_f_solver(single_state_model(rate), 1.0,
-                                                    tau, 1)
-    assert solver(2.0, 1)(2.0) == math.inf
-    assert solver(2.0, 1)(1000.0) == math.inf
-    assert math.isfinite(solver(400.0, 3)(700.0))
-    assert solver(400.0, 3)(1150.0) == math.inf
+def test_stable_set_is_the_perron_test_even_where_the_float_solve_failed():
+    # one block per slot at rate 400 (a one-state chain, and a two-state
+    # chain whose second state has no mass), theta 1, tau 3, d 1: delta
+    # 1150 < tau R is stable although e^{theta delta} overflows the
+    # former linear solve, and reads the 50-digit closed form; delta >= tau R
+    # (and delta = R = 2 at tau 1, where I - e^{theta delta} P D is singular)
+    # reads +inf
     two = _chain_model(np.array([1.0, 0.0]), np.eye(2), np.array([400.0, 400.0]))
-    assert math.isfinite(netcal._log_f_solver(two, 1.0, 3, 1)(700.0))
-    assert netcal._log_f_solver(two, 1.0, 3, 1)(1150.0) == math.inf
-    # crafted solve outputs: +inf exactly where the former
-    # np.all((y >= 1) & (y < inf)) test refuses y, and otherwise
-    # ln(w_1 . y), with w_1 = pi D = e^{-2} for the 2-block server
-    for y in ([1.0], [2.5], [0.5], [-1.0], [math.nan], [math.inf], [-math.inf],
-              [1.0, math.nan], [math.nan, 1.0], [3.0, 0.99], [3.0, math.inf]):
-        y = np.array(y)
-        monkeypatch.setattr(np.linalg, "solve", lambda *args: y)
-        got = solver(2.0, 1)(1.0)
-        monkeypatch.undo()
-        if np.all((y >= 1) & (y < math.inf)):
-            assert got == float(np.logaddexp.reduce(-2.0 + np.log(y)))
-        else:
-            assert got == math.inf, y
+    for model in (single_state_model(400.0), two):
+        got = netcal._log_f_solver(model, 1.0, 3, 1)(1150.0)
+        want = log_violation_bound_mp(model.pi, model.transition,
+                                      model.rates_blocks, 1150.0, 3, 1.0, 1)
+        assert got == pytest.approx(want, rel=1e-14) and round(want, 2) == 348.90
+        assert math.isfinite(netcal._log_f_solver(model, 1.0, 3, 1)(700.0))
+        for delta in (1200.0, 1201.0, 1e300):
+            assert netcal._log_f_solver(model, 1.0, 3, 1)(delta) == math.inf
+    solver = netcal._log_f_solver(single_state_model(2.0), 1.0, 1, 1)
+    assert solver(2.0) == solver(1000.0) == math.inf
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
-       sparse=st.booleans(), tau=st.integers(1, 7), load=st.floats(0.0, 1.5),
+       tau=st.integers(1, 7), load=st.floats(0.0, 1.5),
        log_theta=st.floats(-6.0, 2.0), d=st.integers(1, 40))
-def test_exact_bound_matches_truncated_oracle(seed, n, sparse, tau, load,
-                                              log_theta, d):
+@example(seed=1024, n=1, tau=6, load=1.0, log_theta=0.0, d=1)
+def test_exact_bound_matches_truncated_oracle(seed, n, tau, load, log_theta, d):
     rng = np.random.default_rng(seed)
-    pi, p, rates = random_chain(rng, n, sparse=sparse)
+    pi, p, rates = random_birth_death_chain(rng, n)
     model = _chain_model(pi, p, rates)
     src = cc.PeriodicSource(load * tau * max(float(pi @ rates), 0.1), tau)
     theta = math.exp(log_theta)
@@ -257,6 +250,104 @@ def test_exact_bound_matches_truncated_oracle(seed, n, sparse, tau, load,
     assert got <= upper + 1e-12 * max(1.0, abs(got))
     if upper - partial[-1] <= 1e-12:        # the oracle's tail is negligible
         assert abs(got - partial[-1]) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       max_rate=st.sampled_from([3.0, 30.0]), tau=st.integers(1, 7),
+       load=st.floats(0.0, 1.5), log_theta=st.floats(-12.0, 2.0),
+       d=st.integers(1, 2000))
+def test_spectral_form_matches_the_log_domain_kernel(seed, n, max_rate, tau,
+                                                     load, log_theta, d):
+    # the former log-semiring kernel (log-domain powers of P D and an L x L
+    # solve, on the float P) on random birth-death chains.  Where the
+    # stability margin m = -(theta delta + tau ln rho) exceeds 1e-4, the
+    # float P and the stochastic chain the kernel's mu_1 reads differ by
+    # about 1e-17 / m in ln F, so both agree within 1e-10 at rates up to 3;
+    # at rates up to 30, terms of negative eigenvalues can cancel, and the
+    # kernel may then only bound F from above.  It is finite wherever the
+    # solve is, away from the edge, and the solve reads +inf on the stable
+    # set only where e^{theta delta} overflows or at the edge
+    rng = np.random.default_rng(seed)
+    pi, p, rates = random_birth_death_chain(rng, n, max_rate)
+    delta = load * tau * max(float(pi @ rates), 0.1)
+    theta = math.exp(log_theta)
+    got = netcal._log_f_solver(_chain_model(pi, p, rates), theta, tau, d)(delta)
+    want = log_violation_bound_log_domain(pi, p, rates, delta, tau, theta, d)
+    rho = np.abs(np.linalg.eigvals(p * np.exp(-theta * rates))).max()
+    margin = -(theta * delta + tau * math.log(rho))
+    tol = 1e-10 * max(1.0, abs(want))
+    if math.isfinite(want) and margin > 1e-4:
+        assert got >= want - tol, (got, want)
+        if max_rate == 3.0:
+            assert got <= want + tol, (got, want)
+    if math.isfinite(want) and margin > 1e-9:
+        assert math.isfinite(got)
+    if math.isfinite(got) and not math.isfinite(want):
+        assert theta * delta > 700 or abs(margin) < 1e-9, (margin, theta * delta)
+
+
+@pytest.mark.parametrize("theta, d, want", [
+    (2.0, 2, -60.18232155679395), (5.0, 2, -150.18232155679397),
+    (50.0, 2, -1500.182321556794), (5.0, 3, -151.79175946922805)])
+def test_cancelling_eigen_sum_gives_an_upper_bound(theta, d, want):
+    # P = [[0, 1], [1/2, 1/2]] has eigenvalues of both signs; at rate 30 in
+    # the second state and d 2 their terms cancel to e^{-30 theta} of their
+    # size, below the sum's rounding: a plain eigen-sum reads +inf at theta 5.
+    # The kernel then stands by ln of the sum of the terms' absolute values,
+    # an upper bound, and reads the 50-digit value (want) where the sum holds
+    pi, p = np.array([1 / 3, 2 / 3]), np.array([[0.0, 1.0], [0.5, 0.5]])
+    rates = np.array([0.0, 30.0])
+    assert log_violation_bound_mp(pi, p, rates, 0.0, 1, theta, d) == pytest.approx(
+        want, rel=1e-15)
+    got = netcal._log_f_solver(_chain_model(pi, p, rates), theta, 1, d)(0.0)
+    assert want - 1e-12 * abs(want) <= got < math.inf
+    if d == 3:                              # even power: no cancellation
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("margin", [1e-3, 1e-6])
+def test_certificate_near_the_stability_limit_holds_on_both_chains(ref_model,
+                                                                   margin):
+    # a batch a relative margin below the mean service rate: the delay bound
+    # (165 030 slots at 1e-3, 2.6e8 at 1e-6) holds at 60 digits on the float
+    # P and on the stochastic chain it rounds (ROADMAP item 1)
+    src = cc.PeriodicSource(float(ref_model.pi @ ref_model.rates_blocks)
+                            * (1 - margin))
+    res = cc.delay_bound(src, ref_model, 1e-2)
+    assert res.valid and not res.unstable
+    for stochastic in (False, True):
+        log_f = log_violation_bound_mp(
+            ref_model.pi, ref_model.transition, ref_model.rates_blocks,
+            src.delta_blocks, 1, res.theta_star, int(res.d_slots), dps=60,
+            stochastic=stochastic)
+        assert log_f <= math.log(1e-2), (margin, stochastic, res, log_f)
+
+
+def test_chains_that_are_not_reversible_birth_death_are_refused_by_name():
+    # random_chain's P is dense and its pi is not P's stationary law (at
+    # default_rng(19530) ||pi P - pi||_1 = 0.36); a tridiagonal P with one
+    # rate missing, and pi off detailed balance by more than rounding
+    rng = np.random.default_rng(19530)
+    dense = _chain_model(*random_chain(rng, int(rng.integers(1, 6))))
+    src = cc.PeriodicSource(0.9 * 2 * float(dense.pi @ dense.rates_blocks), 2)
+    with pytest.raises(ValueError, match="transition row 0 has an entry off the "
+                                         "tridiagonal band"):
+        cc.delay_bound(src, dense, 0.3)
+    pi, p, rates = random_birth_death_chain(np.random.default_rng(5), 4)
+    p = p.copy()
+    p[2, 2] += p[2, 1]
+    p[2, 1] = 0.0
+    with pytest.raises(ValueError, match=r"pi\[1\] transition\[1, 2\] and pi\[2\] "
+                                         r"transition\[2, 1\]: one rate is zero"):
+        cc.log_violation_bound(cc.PeriodicSource(0.1), _chain_model(pi, p, rates),
+                               0.1, 5)
+    pi, p, rates = random_birth_death_chain(np.random.default_rng(5), 4)
+    pi = pi * (1 + np.array([0, 0, 4, 0]) * np.finfo(float).eps)
+    with pytest.raises(ValueError, match=r"pi\[1\] transition\[1, 2\] and pi\[2\] "
+                                         r"transition\[2, 1\]: .* the flows differ"):
+        cc.log_violation_bound(cc.PeriodicSource(0.1), _chain_model(pi, p, rates),
+                               0.1, 5)
 
 
 def test_constant_rate_server_meets_guarantee_in_one_slot():
@@ -424,18 +515,15 @@ def test_delay_bound_input_validation(ref_model):
 
 
 def test_theta_search_without_a_stable_theta_raises_no_warning():
-    # random_chain's pi is not P's stationary law here (the stationary mean
-    # rate is 1.64 against pi R = 1.95), so _stable admits a batch that no
-    # theta makes stable; the bracket must come from the solve's +inf
-    # verdicts alone, and the minimiser must never meet +inf inside it
+    # the largest batch below tau pi R, which _stable admits: the stable set
+    # is an interval of theta below the float resolution, so the bracket
+    # must come from the +inf verdicts alone, and the minimiser must never
+    # meet +inf inside it
     rng = np.random.default_rng(19530)
-    model = _chain_model(*random_chain(rng, int(rng.integers(1, 6))))
-    src = cc.PeriodicSource(0.9 * 2 * float(model.pi @ model.rates_blocks), 2)
+    model = _chain_model(*random_birth_death_chain(rng, int(rng.integers(2, 6))))
+    src = cc.PeriodicSource(np.nextafter(2 * float(model.pi @ model.rates_blocks), 0), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the certificate found here (d 2.6e16 at theta* 9.1e-16) is a
-        # rounding artifact at the float floor of the stability test, so
-        # its value is not checked
         netcal._best_theta(src, model, 1, math.log(0.3))
         cc.delay_bound(src, model, 0.3)
 
@@ -635,8 +723,7 @@ def _lattice_case_model(ref_model, chain_seed):
     if chain_seed is None:
         return ref_model
     rng = np.random.default_rng(chain_seed)
-    return _chain_model(*random_chain(rng, int(rng.integers(1, 5)),
-                                      sparse=bool(chain_seed % 2)))
+    return _chain_model(*random_birth_death_chain(rng, int(rng.integers(1, 5))))
 
 
 def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
@@ -701,17 +788,18 @@ def test_bad_rate_proposals_resume_to_the_lattice_maximum(ref_model, monkeypatch
 @pytest.mark.parametrize("d, tau", [(60, 1), (100, 1), (140, 1), (100, 5)])
 def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
                                             d, tau):
-    # log-domain matrix powers per throughput point at the reference point:
+    # per-theta eigensolves per throughput point at the reference point:
     # one per theta of the rate proposal, plus the exact probes that confirm
     # it, the confirming probe starting from the theta of the refused point
-    # above, and report the delay
+    # above, and report the delay; a theta that reads +inf costs one too
+    # (49, 62, 57 and 62 at these points)
     calls = []
-    log_w = netcal._log_w
-    monkeypatch.setattr(netcal, "_log_w", lambda *a: calls.append(a) or log_w(*a))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
-    assert len(calls) <= 56, len(calls)
+    assert len(calls) <= 64, len(calls)
 
 
 @pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])
@@ -721,8 +809,8 @@ def test_infeasible_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
     # source's delay by doubling from one slot; each probe stops once it is
     # decided, and one full minimisation reports theta*
     calls = []
-    log_w = netcal._log_w
-    monkeypatch.setattr(netcal, "_log_w", lambda *a: calls.append(a) or log_w(*a))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d,
                                           resolution_blocks=res_blocks)
