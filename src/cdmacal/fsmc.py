@@ -57,7 +57,7 @@ def stationary_distribution(thresholds_linear, gamma_bar):
     return tail[:-1] - tail[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # hashed by identity: netcal memoises per model
 class FsmcModel:
     """Slotted Markov chain over the AMC modes plus per-state block rates."""
 

@@ -47,6 +47,7 @@ chord lines through the values met bound the convex ln F above ln
 epsilon; one full minimisation reports theta*.
 """
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -87,38 +88,43 @@ def _perron_gap(up, diag, down, decay, m_off, y):
     return sum(v * v for v in y) / quad
 
 
-def _log_f_solver(model, theta, tau, d_slots):
-    """delta -> ln F_theta(d), +inf where delta is unstable.  Per theta, eigh
-    of M (ln M, ln g scaled by their largest entries: no mass underflows)
-    gives c_k and r_k = lambda_k / lambda_1 (lambda_1 > 1/2 by _perron_gap);
-    per delta, the sum of the L tau terms c_k r_k^{d-1+r} b_r lambda_1^r /
-    (1 - e^{theta delta} lambda_k^tau) plus its rounding bound L (d + tau +
-    1) eps S, or where it cancels below that, S = sum |terms|, bounds F."""
+@functools.lru_cache(maxsize=256)
+def _spectrum(model, theta):
+    """_log_f_solver's theta-only part, kept since searches revisit theta: ln
+    lambda_1, ln g's scale and, lambda_k descending, ln c_k, ln |r_k|, r_k < 0."""
     log_sym, log_pi, up, diag, down = model.birth_death
     decay = theta * model.rates_blocks
-    log_m = log_sym - (decay[:, None] + decay) / 2
-    top = log_m.max()
+    log_m, log_g = log_sym - (decay[:, None] + decay) / 2, log_pi - decay
+    top, g_top = log_m.max(), log_g.max()       # scaled: no mass underflows
     lam, vec = np.linalg.eigh(np.exp(log_m - top))
     log_lam1 = math.log(lam[-1]) + top
     if log_lam1 > -math.log(2):
         log_lam1 = math.log1p(-_perron_gap(
             up, diag, down, decay, np.exp(np.diagonal(log_m, 1)).tolist(),
             np.abs(vec[:, -1]).tolist()))
-    log_g = log_pi - decay
-    g_top, power = log_g.max(), np.arange(d_slots - 1, d_slots - 1 + tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_c = np.log(np.square(np.exp((log_g - g_top) / 2) @ vec[:, ::-1]))
         log_ratio = np.minimum(np.log(np.abs(lam[::-1] / lam[-1])), 0.0)
+    return log_lam1, g_top, log_c, log_ratio, lam[::-1] < 0
+
+
+def _log_f_solver(model, theta, tau, d_slots):
+    """delta -> ln F_theta(d), +inf where delta is unstable, as the sum of the L
+    tau terms c_k r_k^{d-1+r} b_r lambda_1^r / (1 - e^{theta delta} lambda_k^tau),
+    or where terms of negative lambda_k cancel a checked, not proven, bound on F."""
+    log_lam1, g_top, log_c, log_ratio, neg = _spectrum(model, theta)
+    power = np.arange(d_slots - 1, d_slots - 1 + tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_head = log_c[:, None] + np.where(power > 0, log_ratio[:, None] * power, 0.0)
         if tau > 1:     # ln b_r lambda_1^r, b_r = 1 - r/tau + (r/tau) e^{theta delta}
             r = np.arange(tau)
             log_stay, log_move = (np.log1p(-r / tau) + r * log_lam1,
                                   np.log(r / tau) + r * log_lam1)
     tau_log_lam = tau * (log_ratio + log_lam1)
-    flip = (neg := lam[::-1] < 0) & (tau % 2 == 1)      # lambda_k^tau < 0
+    flip = neg & (tau % 2 == 1)                         # lambda_k^tau < 0
     sign = np.where(neg[:, None] & (power % 2 == 1), -1.0, 1.0) if neg[-1] else None
     common = g_top + (d_slots - 1) * log_lam1
-    bound = math.ulp(1.0) * len(lam) * (d_slots + tau + 1)
+    bound = math.ulp(1.0) * len(neg) * (d_slots + tau + 1)
 
     def log_f(delta):
         e = theta * delta + tau_log_lam         # ln |e^{theta delta} lambda_k^tau|
