@@ -8,9 +8,14 @@ Queue accounting: arrivals land at slot boundaries before that slot's
 service (the conservative choice).  A block's delay is the number of whole
 slots after its arrival slot until its last bit has departed, so a block
 fully served within its arrival slot has delay 0.  This matches the
-virtual-delay quantity the MGF bound controls.
+virtual-delay quantity the MGF bound controls.  For cumulative arrivals
+A and service S, departures D(t) = S(t) + min(0, min_{s<=t} [A - S](s)) are
+min(S(t) + c_k, A(t)) from arrival slot a_k to the next, as A is flat, with
+c_k = min(0, min_{i<=k} [A - S](a_i - 1)); c_k moves only once the queue is
+empty, so block k departs at the first t >= a_k with S(t) >= its level - c_k.
 """
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -24,6 +29,27 @@ from .netcal import PeriodicSource
 _BLOCK = 64
 # Most maps a word table holds, one per word of draw cells.
 _WORDS = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _word_table(model):
+    """simulate_fsmc's per-model part: cuts, K, w, one, table, word scale."""
+    lo = np.append(0.0, np.diagonal(model.transition, -1))
+    mid = lo + np.diagonal(model.transition)
+    th = np.sort(np.concatenate((lo, mid)))     # th[0] = lo[0] = 0: no cut
+    cuts = th[1:][(th[1:] > th[:-1]) & (th[1:] < 1)]
+    k = len(cuts) + 1
+    w = max((i for i in range(2, 13) if k ** i <= _WORDS), default=1)
+    # one[c, s]: the state a draw in cell c sends s to, read at the cell's
+    # lower end; table[word, s] for a word's cells c_0 + c_1 K + ...
+    at = np.append(0.0, cuts)[:, None]
+    one = (np.arange(model.n_states) - (at < lo) + (at >= mid)).astype(
+        np.min_scalar_type(model.n_states))
+    table = one
+    for _ in range(w - 1):
+        table = one[:, table].reshape(-1, model.n_states)
+    scale = model.n_states * k ** np.arange(w)      # cells -> flat index
+    return cuts, k, w, one, table, scale.astype(np.min_scalar_type(table.size))
 
 
 def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
@@ -42,7 +68,6 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     rng = np.random.default_rng(seed)
     if n_slots == 0:
         return np.empty(0, dtype=np.int64)
-    p = model.transition
     n_states = model.n_states
     if init_state is None:
         cum = np.cumsum(model.pi)
@@ -51,20 +76,7 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     else:
         state = whole_number("init_state", init_state, 0, n_states - 1)
     m = n_slots - 1
-    lo = np.append(0.0, np.diagonal(p, -1))
-    mid = lo + np.diagonal(p)
-    th = np.sort(np.concatenate((lo, mid)))     # th[0] = lo[0] = 0: no cut
-    cuts = th[1:][(th[1:] > th[:-1]) & (th[1:] < 1)]
-    k = len(cuts) + 1
-    w = max((i for i in range(2, 13) if k ** i <= _WORDS), default=1)
-    # one[c, s]: the state a draw in cell c sends s to, read at the cell's
-    # lower end; table[word, s] for a word's cells c_0 + c_1 K + ...
-    at = np.append(0.0, cuts)[:, None]
-    one = (np.arange(n_states) - (at < lo) + (at >= mid)).astype(
-        np.min_scalar_type(n_states))
-    table = one
-    for _ in range(w - 1):
-        table = one[:, table].reshape(-1, n_states)
+    cuts, k, w, one, table, scale = _word_table(model)
     blk = max(1, min(_BLOCK, -(-m // w)))
     nb = -(-m // (w * blk))
     u = rng.random(m)
@@ -73,7 +85,7 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     for c in cuts:
         cells.reshape(-1)[:m] += u >= c
     del u                       # freed before the output is allocated
-    words = cells @ (n_states * k ** np.arange(w))
+    words = sum(c * col for c, col in zip(scale, cells.T))
     s = np.arange(n_states, dtype=one.dtype)[:, None]
     seen = np.empty((blk, n_states, nb), dtype=one.dtype)
     for j, wj in enumerate(words.reshape(nb, blk).T.copy()):
@@ -102,6 +114,7 @@ class QueueTrace:
     def violation_frequency(self, d_slots):
         """Fraction of blocks with delay > d_slots, censored epochs counted as
         violations, plus its binomial standard error."""
+        d_slots = whole_number("d_slots", d_slots, 0)
         if self.epochs == 0:
             return 0.0, 0.0
         bad = int(np.sum(self.delays_slots > d_slots)) + self.undelivered
@@ -133,11 +146,9 @@ def simulate_fifo_queue(model: FsmcModel, source: PeriodicSource, n_slots,
     No constant is counted in blocks, so scaling the service rates and the
     batch size by one factor leaves the delays unchanged.
 
-    Departures are D(t) = S(t) + min(0, min_{s<=t} [A(s) - S(s)]) for
-    cumulative arrivals A and service S.  One loop walks the path in chunks
-    of ``_CHUNK`` slots and carries S, the running minimum, the chain state
-    and the first epoch not yet departed into the next chunk, so memory
-    beyond one delay per epoch does not grow with n_slots.
+    One loop walks the path in chunks of ``_CHUNK`` slots, carrying S, c,
+    the chain state and the blocks not yet departed, so memory beyond one
+    delay per epoch does not grow with n_slots.
     """
     n_slots = whole_number("n_slots", n_slots, 1)
     rng = np.random.default_rng(seed)
@@ -146,29 +157,23 @@ def simulate_fifo_queue(model: FsmcModel, source: PeriodicSource, n_slots,
     rates = model.rates_blocks
     epochs = len(range(phase, n_slots, tau))
     service, low, state, nxt, delays = 0.0, 0.0, None, 0, []
-    t0 = 0
+    t0, wait = 0, np.empty(0)       # wait[j]: block nxt + j's level - c
     while t0 < n_slots or (nxt < epochs and t0 < 2 * n_slots):
         t1 = min(t0 + _CHUNK, n_slots if t0 < n_slots else 2 * n_slots)
-        if state is None:
-            path = simulate_fsmc(model, t1 - t0, seed=rng)
-        else:
-            path = simulate_fsmc(model, t1 - t0 + 1, seed=rng,
-                                 init_state=state)[1:]
+        path = simulate_fsmc(model, t1 - t0 + (state is not None), seed=rng,
+                             init_state=state)[t0 - t1:]  # less the carry
         state = int(path[-1])
-        t = np.arange(t0, t1)
-        # epochs arrived by slot t; none arrive after the window
-        arrived = np.where(t >= phase,
-                           (np.minimum(t, n_slots - 1) - phase) // tau + 1, 0)
-        ca = delta * arrived
-        cs = np.cumsum(np.concatenate(([service], rates[path])))[1:]
-        lows = np.minimum.accumulate(np.concatenate(([low], ca - cs)))[1:]
-        dep = cs + lows
-        k = np.arange(nxt, int(arrived[-1]))
+        s = np.cumsum(np.append(service, rates.take(path)))  # s[i] = S(t0 - 1 + i)
+        # epochs arriving in this chunk (none after the window), their c_k
+        k = np.arange(nxt + len(wait), len(range(phase, min(t1, n_slots), tau)))
+        lows = np.minimum.accumulate(
+            np.append(low, delta * k - s[phase + k * tau - t0]))
         levels = delta * (k + 1.0)
-        slot = np.searchsorted(dep, levels - 1e-12 * levels)
-        done = slot < len(dep)
+        wait = np.append(wait, levels - 1e-12 * levels - lows[1:])
+        slot = np.searchsorted(s[1:], wait[wait <= s[-1]])     # departures
         # a block cannot depart before its own arrival slot (relevant at delta=0)
-        delays.append(np.maximum(t0 + slot[done] - (phase + k[done] * tau), 0))
-        nxt += int(np.count_nonzero(done))
-        service, low, t0 = cs[-1], lows[-1], t1
+        delays.append(np.maximum(t0 + slot - phase
+                                 - np.arange(nxt, nxt + len(slot)) * tau, 0))
+        nxt, wait = nxt + len(slot), wait[len(slot):]
+        service, low, t0 = s[-1], lows[-1], t1
     return QueueTrace(np.concatenate(delays), epochs, epochs - nxt)

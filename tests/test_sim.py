@@ -2,12 +2,14 @@
 (an oracle in ``oracles``) and the channel paths, the scanned chain path
 held slot for slot to a per-slot walk on the model's chains and on random
 birth-death chains, exact hand-worked cases for the FIFO
-queue, the chunked queue held to the whole-array reference in ``oracles``,
-and the queue's delays unchanged when the block unit is rescaled."""
+queue, the chunked queue held to the whole-array reference in ``oracles``
+on the model's chains and on random ones, the word table built once per
+model, and the queue's delays unchanged when the block unit is rescaled."""
 import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,8 @@ from cdmacal import sim
 
 from conftest import single_state_model
 from oracles import (fifo_queue_whole_array, finite_sinr_direct,
-                     fsmc_path_loop, sample_finite_sinr_batch)
+                     fsmc_path_loop, random_birth_death_chain,
+                     sample_finite_sinr_batch)
 
 
 def test_single_user_is_matched_filter():
@@ -271,6 +274,12 @@ def test_violation_frequency_counts():
     assert freq0 == 0.0
     q = trace.delay_quantiles((0.5,))
     assert q[0.5] == pytest.approx(3.0)
+    # a delay is a whole number of slots: anything else is refused by name,
+    # NaN above all, which would otherwise read as no violation at all
+    for bad in (math.nan, math.inf, -1, 2.5):
+        with pytest.raises(ValueError, match="d_slots"):
+            trace.violation_frequency(bad)
+    assert trace.violation_frequency(3.0) == (freq, se)
 
 
 def _queue_cases(ref_model):
@@ -298,6 +307,55 @@ def test_chunked_queue_matches_whole_array_reference(ref_model, monkeypatch,
         seen.add((want.undelivered > 0, n > chunk))
     # the grid reaches censored drains and multi-chunk paths
     assert {(True, True), (False, True)} <= seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 8),
+       max_rate=st.floats(0.0, 30.0), outage=st.booleans(),
+       tau=st.integers(1, 7),
+       load=st.one_of(st.just(0.0), st.floats(0.1, 1.5)),
+       n=st.integers(1, 3000), chunk=st.sampled_from([1, 7, 64]))
+def test_queue_matches_whole_array_reference_on_random_chains(
+        seed, n_states, max_rate, outage, tau, load, n, chunk):
+    # busy periods that end and restart across chunk ends, where c_k moves.
+    # The reference's departure curve S + (A - S) rounds by up to half an ulp
+    # of S, which the 1e-12 level margin absorbs only while A/S exceeds about
+    # 1.1e-4; on these chains A/S >= load * pi_top / 2 >= load / 340, hence
+    # load 0 or at least 0.1 (test_queue_light_load_departs_in_its_arrival_slot
+    # holds lighter loads to the exact answer)
+    pi, p, rates = random_birth_death_chain(np.random.default_rng(seed),
+                                            n_states, max_rate, outage)
+    model = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates,
+                         rates_blocks=rates)
+    src = cc.PeriodicSource(load * tau * float(pi @ rates), tau_slots=tau)
+    with mock.patch.object(sim, "_CHUNK", chunk):
+        got = cc.simulate_fifo_queue(model, src, n, seed=seed)
+    want = fifo_queue_whole_array(model, src, n, seed=seed)
+    assert np.array_equal(got.delays_slots, want.delays_slots)
+    assert (got.epochs, got.undelivered) == (want.epochs, want.undelivered)
+
+
+def test_queue_light_load_departs_in_its_arrival_slot():
+    # each batch is far below one slot's service, so it leaves in its own
+    # slot: S(a_k) passes its level less c_k by about one slot's service,
+    # while S + (A - S) would lose the batch to rounding once A/S < 1e-4
+    for delta, tau in ((1e-9, 1), (1e-300, 3), (2.0 ** -30, 7)):
+        trace = cc.simulate_fifo_queue(single_state_model(1.0),
+                                       cc.PeriodicSource(delta, tau), 1000,
+                                       seed=4)
+        assert trace.undelivered == 0
+        assert np.array_equal(trace.delays_slots,
+                              np.zeros(trace.epochs, dtype=np.int64))
+
+
+def test_queue_builds_the_word_table_once_per_model(ref_model, monkeypatch):
+    monkeypatch.setattr(sim, "_CHUNK", 1000)
+    sim._word_table.cache_clear()
+    trace = cc.simulate_fifo_queue(ref_model, cc.PeriodicSource(4.0), 20_000,
+                                   seed=3)
+    assert trace.undelivered == 0
+    info = sim._word_table.cache_info()
+    assert info.misses == 1 and info.hits >= 19         # one per later chunk
 
 
 @pytest.mark.parametrize("factor", [2.0 ** 30, 2.0 ** -40],
@@ -328,7 +386,7 @@ def test_queue_memory_does_not_grow_with_the_run(ref_model):
     finally:
         tracemalloc.stop()
     assert trace.epochs == 200_000 and trace.undelivered == 0
-    assert peak < 12e6
+    assert peak < 6e6
 
 
 def test_delay_quantile_is_a_whole_slot(ref_model):
