@@ -39,12 +39,17 @@ non-increasing in tau_d.
 Throughput is the largest rate on a lattice of spacing ``resolution_blocks``
 that meets the guarantee d.  Per theta the batch delta*(theta) with ln
 F_theta(d) = ln epsilon is a root, and max_theta delta*(theta) / tau (the
-effective-bandwidth / effective-capacity duality) proposes the rate.  The
-exact lattice predicate confirms it, or gallops outward from it and
-bisects; the reported delay gallops down from d.  Each probe is decided:
-it holds at the first theta with ln F <= ln epsilon, and is refused once
-chord lines through the values met bound the convex ln F above ln
-epsilon; one full minimisation reports theta*.
+effective-bandwidth / effective-capacity duality) proposes the rate.  Near
+that root the Perron term of F dominates, so its closed form gives
+delta*(theta), which two exact values of ln F confirm (Brent's root search
+takes over when they do not bracket it).  The proposal only chooses where
+the probes start: the exact lattice predicate confirms it, or gallops
+outward from it and bisects, and the reported delay gallops down from d.
+Each probe is decided: it holds at the first theta with ln F <= ln
+epsilon, and is refused once chord lines through the values met bound the
+convex ln F above ln epsilon.  A probe starts from the best theta of the
+probe before it (the proposal's maximiser for the first); one full
+minimisation reports theta*.
 """
 from dataclasses import dataclass
 import functools
@@ -179,13 +184,13 @@ class _Refused(Exception):
     """A decided search found that no theta meets epsilon."""
 
 
-def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
+def _best_theta(source, model, d_slots, log_eps, decide=False, seed=math.nan):
     """(theta, ln F_theta(d)) at the minimiser of ln F over the stable set,
     or at the first theta met with ln F <= log_eps while ln F still falls;
     (nan, inf) when no stable theta is found.  ``decide`` stops at the first
     theta met with ln F <= log_eps, or at the best one met once the minorant
     of the values met lies above log_eps by more than a rounding margin; a
-    decided search meets ``hint`` first.
+    decided search meets ``seed`` first.
 
     The bracket comes from the values of ln F alone, +inf off the stable
     set and at theta = 0: the walk meets one over the mean service rate,
@@ -194,7 +199,11 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
     ln F(theta) moves theta up, and any other value closes the bracket, so
     the bounded minimiser only sees the convex, finite part.  The first
     finite value and the doubling stop at ln F <= log_eps, the midway probes
-    above the first finite value only in a decided search.
+    above the first finite value only in a decided search.  A decided
+    search whose seed reads finite walks from the seed instead, in steps of
+    ln theta that start at 0.01 and double up to ln 2: down while ln F
+    falls, which closes the bracket at the seed's side, and otherwise up as
+    above, so both bracket ends stay finite.
     """
     seen, stop = {}, log_eps if decide else -math.inf
 
@@ -205,11 +214,14 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
             raise _Refused
         return fx
     try:
-        if decide and hint is not None and f(hint) <= log_eps:
-            return hint, seen[hint]
         lo = theta = 0.0
         fx = hi = f_hi = math.inf
-        x = 1.0 / float(model.pi @ model.rates_blocks)
+        x, grow = 1.0 / float(model.pi @ model.rates_blocks), 2.0
+        if decide and 0 < seed < math.inf and f(seed) < math.inf:
+            theta, fx, grow = seed, seen[seed], 1.01
+            while fx > log_eps and (fn := f(x := theta / grow)) < fx:
+                hi, f_hi, theta, fx, grow = theta, fx, x, fn, min(grow * grow, 2.0)
+            lo, x = x, grow * theta
         while (f_hi == math.inf and theta < x < hi
                and fx > (stop if lo and hi < math.inf else log_eps)):
             fn = f(x)
@@ -217,8 +229,9 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, hint=None):
                 lo, theta, fx = theta, x, fn
             else:
                 hi, f_hi = x, fn
-            x = 2 * theta if hi == math.inf else (theta + hi) / 2
-        if f_hi == math.inf:        # stopped early, or hi is next to theta
+            grow = min(grow * grow, 2.0)
+            x = grow * theta if hi == math.inf else (theta + hi) / 2
+        if f_hi == math.inf or fx <= stop:  # stopped early, or hi is next to theta
             return (theta, fx) if theta else (math.nan, math.inf)
         x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
         return (x, fun) if fun < fx else (theta, fx)
@@ -261,15 +274,19 @@ def _first_true(holds, lo, hi=None, guess=None):
     return hi
 
 
-def _delay_search(source, model, epsilon, top=None):
-    """``delay_bound``, galloping down from ``top`` when it certifies."""
+def _delay_search(source, model, epsilon, top=None, seed=math.nan):
+    """``delay_bound``, galloping down from ``top`` when it certifies; each
+    probe then meets the theta of the probe before it, the first ``seed``."""
     if _stable(source, model):
         log_eps = math.log(epsilon)
 
         def holds(d):
             # No stable theta (nan) comes from the Perron test, which does not
             # involve d, so it holds at every delay and ends the search at d = 1.
-            theta, fx = _best_theta(source, model, d, log_eps, decide=True)
+            nonlocal seed
+            theta, fx = _best_theta(source, model, d, log_eps, decide=True, seed=seed)
+            if top:     # galloping down from top, the best theta moves little
+                seed = theta
             return math.isnan(theta) or fx <= log_eps
         d = _first_true(holds, 0, top, top)
         theta = _best_theta(source, model, d, log_eps)[0]
@@ -309,23 +326,39 @@ class ThroughputResult:
 
 
 def _rate_proposal(model, tau, d_g, log_eps, resolution):
-    """max_theta delta*(theta) / tau, delta* the root of tanh((ln epsilon -
-    ln F_theta(d_g)) / 2), by one search over four decades of ln theta from
-    -ln epsilon / (d_g max Rb), below which Ms(theta, d_g) alone exceeds
-    epsilon.  The theta that certify a batch form an interval that shrinks
-    as it grows, so delta* is quasi-concave; where no batch is certified the
-    objective is how far the zero batch misses."""
+    """(max_theta delta*(theta) / tau, its theta), delta* the root of h =
+    tanh((ln epsilon - ln F_theta(d_g)) / 2), by one search over four decades
+    of ln theta from -ln epsilon / (d_g max Rb), below which Ms(theta, d_g)
+    alone exceeds epsilon.  The theta that certify a batch form an interval
+    that shrinks as it grows, so delta* is quasi-concave; where no batch is
+    certified the objective is how far the zero batch misses.  Per theta the
+    Perron term of F alone gives x = e^{theta delta} = (1 - p a) / (lambda_1^tau
+    + p b), p = c_1 lambda_1^{d_g - 1} / epsilon, a and b = sum_r (1 - r/tau)
+    and (r/tau) lambda_1^r; it stands when h changes sign across delta +-
+    xtol / 2, and Brent's root search on [0, tau pi Rb] takes over when not."""
     top = tau * float(model.pi @ model.rates_blocks)
+    xtol, r = 1e-3 * tau * resolution, np.arange(tau)
 
     def neg_delta(x):
-        log_f = _log_f_solver(model, math.exp(x), tau, d_g)
+        theta = math.exp(x)
+        log_f = _log_f_solver(model, theta, tau, d_g)
         h = lambda delta: math.tanh((log_eps - log_f(delta)) / 2)
-        h0, h_top = h(0.0), min(h(top), 0.0)    # certified at top: root at top
+        log_lam1, g_top, log_c = _spectrum(model, theta)[:3]
+        lam_r = np.exp(r * log_lam1)
+        log_p = g_top + log_c[0] + (d_g - 1) * log_lam1 - log_eps
+        log_pa = log_p + math.log((1 - r / tau) @ lam_r)
+        if log_pa < 0 and (den := math.exp(tau * log_lam1)
+                           + math.exp(log_p) * (r / tau @ lam_r)) > 0:
+            delta = (math.log1p(-math.exp(log_pa)) - math.log(den)) / theta
+            if xtol <= 2 * delta and h(delta - xtol / 2) > 0 >= h(delta + xtol / 2):
+                return -delta
+        h0 = h(0.0)
         if not h0 > 0:
             return -h0
-        return -find_root(h, 0.0, top, 1e-3 * tau * resolution, fa=h0, fb=h_top)[0]
+        return -find_root(h, 0.0, top, xtol, fa=h0, fb=min(h(top), 0.0))[0]
     x_lo = math.log(-log_eps / (d_g * model.rates_blocks.max()))
-    return -minimize_bounded(neg_delta, x_lo, x_lo + math.log(1e4), 1e-2)[1] / tau
+    x, fun = minimize_bounded(neg_delta, x_lo, x_lo + math.log(1e4), 1e-2)
+    return -fun / tau, math.exp(x)
 
 
 def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
@@ -336,10 +369,11 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     F_theta(d_guarantee) > ln epsilon, monotone in the rate.  This exact
     predicate confirms the rate proposal (its point holds, the next is
     refused) or gallops outward from it and bisects; the reported delay
-    gallops down from the guarantee.  A probe tries the best theta of the
-    point above first, stops at the first theta that meets epsilon or at the
-    first minorant that certifies a refusal, so one full minimisation, at
-    the reported delay, gives theta*.
+    gallops down from the guarantee.  A probe starts from the best theta of
+    the probe before it: the proposal's for the first lattice probe, the one
+    that certified the rate for the first delay probe.  It stops at the
+    first theta that meets epsilon or at the first minorant that certifies a
+    refusal, so one full minimisation, at the reported delay, gives theta*.
     """
     d_g = whole_number("d_guarantee_slots", d_guarantee_slots, 0)
     if not resolution_blocks > 0:
@@ -351,27 +385,27 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     def source(k):
         return PeriodicSource(k * resolution_blocks * tau_slots, tau_slots)
 
-    best = {}                   # lattice point -> best theta its probe met
+    seed = held = math.nan      # the last probe's best theta; the last that held
 
     def refused(k):
+        nonlocal seed, held
         src = source(k)
         if not (d_g >= 1 and _stable(src, model)):
             return True
-        theta, fx = _best_theta(src, model, d_g, log_eps, decide=True,
-                                hint=best.get(k + 1))
-        if not math.isnan(theta):
-            best[k] = theta
+        seed, fx = _best_theta(src, model, d_g, log_eps, decide=True, seed=seed)
+        if fx <= log_eps:
+            held = seed
         return not fx <= log_eps
 
     infeasible = refused(1)
     k, top = 0, None
     if not infeasible:
         k_stab = _first_true(lambda k: not _stable(source(k), model), 1)
-        lam = _rate_proposal(model, tau_slots, d_g, log_eps, resolution_blocks)
+        lam, seed = _rate_proposal(model, tau_slots, d_g, log_eps, resolution_blocks)
         guess = math.floor(lam / resolution_blocks) + 1 if math.isfinite(lam) else None
         k, top = _first_true(refused, 1, k_stab, guess) - 1, d_g
     lam = k * resolution_blocks
     return ThroughputResult(
         lambda_blocks=lam, lambda_bps=lam * (cfg.alpha * cfg.n_b_bits / cfg.t_b_s),
         c_lim_bps=capacity_limit(cfg, model), infeasible=infeasible,
-        delay_at_lambda=_delay_search(source(k), model, epsilon, top))
+        delay_at_lambda=_delay_search(source(k), model, epsilon, top, held))

@@ -11,7 +11,8 @@ precision for the interference integral's closed form, a direct m x m
 solve for the finite-system SINR, one-dimensional adaptive quadrature of
 the PAM sums and a two-dimensional product Gauss-Hermite rule over the
 complex points for the constellation capacity, a per-slot walk for the
-chain path, and whole-path arrays instead of chunks for the FIFO queue's
+chain path, and whole-path arrays instead of chunks, or Lindley's
+recursion slot by slot in exact rational arithmetic, for the FIFO queue's
 departures.  The exponential SNR density and the dB
 conversion are the textbook formulas the pipeline is built on, kept here
 because only tests read them.  The finite-system SINR sampler is a Monte
@@ -24,6 +25,7 @@ reproduce.  The service MGF through the library's log-domain kernel and the
 arrival MGF's closed form were public library functions that only tests
 called; they live here as the quantities the oracles above are held to.
 """
+from fractions import Fraction
 import functools
 import math
 
@@ -571,6 +573,39 @@ def fifo_queue_whole_array(model, source, n_slots, seed=None):
 
     return SimpleNamespace(delays_slots=delays.astype(np.int64),
                            epochs=epochs, undelivered=undelivered)
+
+
+def fifo_queue_exact(model, source, n_slots, seed=None):
+    """Slotted FIFO queue by Lindley's recursion one slot at a time, every
+    sum a Fraction, on the library's draws (the phase, then the chain path
+    over the window and n_slots of drain).  Batch k arrives at a_k = phase +
+    k tau; the departures D(t) = S(t) + min(0, min_{s <= t} (A(s) - S(s)))
+    first reach its level delta (k + 1), less the library's 1e-12 of it, at
+    its departure slot, no earlier than a_k.  The sums carry exact
+    denominators, so keep n to a few thousand slots.  Returns the
+    QueueTrace fields as a namespace."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(seed)
+    delta, tau = Fraction(source.delta_blocks), source.tau_slots
+    phase = 0 if tau == 1 else int(rng.integers(tau))
+    arrivals = list(range(phase, n_slots, tau))
+    rates = [Fraction(r) for r in model.rates_blocks.tolist()]
+    margin = 1 - Fraction(1e-12)
+    served = low = Fraction(0)
+    arrived, delays = 0, []
+    for t, state in enumerate(fsmc_path_loop(model, 2 * n_slots, seed=rng).tolist()):
+        if len(delays) == len(arrivals):
+            break
+        arrived += arrived < len(arrivals) and arrivals[arrived] == t
+        served += rates[state]
+        low = min(low, delta * arrived - served)
+        while len(delays) < arrived and (
+                served + low >= delta * (len(delays) + 1) * margin):
+            delays.append(t - arrivals[len(delays)])
+    return SimpleNamespace(delays_slots=np.array(delays, dtype=np.int64),
+                           epochs=len(arrivals),
+                           undelivered=len(arrivals) - len(delays))
 
 
 def first_true_bisection(holds, lo, hi=None):

@@ -10,9 +10,12 @@ for a constant-rate server.  Every certificate the searches return is
 re-checked by the oracle sum, and the throughput search is checked for its
 lattice certificate and its degenerate outcomes.  The integer search
 gallops from a guess to plain bisection's answer within a probe budget,
-and the throughput search, whatever its rate proposal, returns what plain
-bisection over the rate lattice and the delay returns, each of its probes
-answered there by a full minimisation.  The chord-line minorant that
+and the throughput search, whatever its rate proposal and the theta its
+probes start from, returns what plain bisection over the rate lattice and
+the delay returns, each of its probes answered there by a full
+minimisation.  Every batch the proposal takes from the Perron term is a
+root within its tolerance, and a throughput point stays within its budget
+of ln F evaluations and eigensolves.  The chord-line minorant that
 certifies a refusal never exceeds the minimum of a random convex function.
 A chain that is not a reversible birth-death chain is refused by name.
 """
@@ -726,19 +729,47 @@ def _lattice_case_model(ref_model, chain_seed):
     return _chain_model(*random_birth_death_chain(rng, int(rng.integers(1, 5))))
 
 
+# seeds that are no theta at all, at either end of the floats, or past the
+# stable set ("beyond", see _beyond_stable_set)
+BAD_SEEDS = [math.nan, 0.0, math.inf, 1e-300, 1e300, "beyond"]
+
+
+def _beyond_stable_set(model, delta, tau):
+    """A theta where batch delta reads +inf: doublings from 1, the last one
+    tried where every theta is stable (a constant-rate server)."""
+    theta = 1.0
+    for _ in range(64):
+        if netcal.log_violation_bound(cc.PeriodicSource(delta, tau), model,
+                                      theta, 1) == math.inf:
+            break
+        theta *= 2
+    return theta
+
+
 def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
-                                     res_blocks=1e-3):
-    """The throughput result equals plain bisection's; a bad proposal, when
-    given, replaces the real one (an offset is in lattice steps from the
-    answer).  The returned point holds and the one above is refused."""
+                                     seed=None, res_blocks=1e-3):
+    """The throughput result equals plain bisection's.  A bad rate, when
+    given, replaces the proposal's (an int is an offset in lattice steps from
+    the answer), and a bad seed the proposal's theta.  The returned point
+    holds and the one above is refused."""
     want = throughput_lattice_bisection(model, eps, d, res_blocks, tau)
-    if bad is not None:
-        rate = want[0] + bad * res_blocks if isinstance(bad, int) else bad
-        monkeypatch.setattr(netcal, "_rate_proposal", lambda *args: rate)
-    res = cc.delay_constrained_throughput(
-        cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0), model,
-        epsilon=eps, d_guarantee_slots=d, resolution_blocks=res_blocks,
-        tau_slots=tau)
+    if seed == "beyond":
+        seed = _beyond_stable_set(model, want[0] * tau, tau)
+    if bad is not None or seed is not None:
+        rate_proposal = netcal._rate_proposal
+
+        def proposal(*args):
+            rate, theta = rate_proposal(*args)
+            if bad is not None:
+                rate = want[0] + bad * res_blocks if isinstance(bad, int) else bad
+            return rate, theta if seed is None else seed
+        monkeypatch.setattr(netcal, "_rate_proposal", proposal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cc.delay_constrained_throughput(
+            cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0), model,
+            epsilon=eps, d_guarantee_slots=d, resolution_blocks=res_blocks,
+            tau_slots=tau)
     monkeypatch.undo()
     got = (res.lambda_blocks, res.infeasible, res.delay_at_lambda.d_slots,
            res.delay_at_lambda.theta_star)
@@ -753,12 +784,13 @@ def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
 @given(chain_seed=st.one_of(st.none(), st.integers(0, 2**16)),
        tau=st.sampled_from([1, 3, 5]), d=st.sampled_from([1, 2, 10, 100, 1000]),
        eps=st.sampled_from([1e-4, 1e-2, 0.3]),
-       bad=st.sampled_from([None, None, 0.0, 1e300, math.nan, 50, -50]))
+       bad=st.sampled_from([None, None, 0.0, 1e300, math.nan, 50, -50]),
+       seed=st.sampled_from([None, None] + BAD_SEEDS))
 def test_throughput_matches_plain_lattice_bisection(ref_model, chain_seed, tau,
-                                                    d, eps, bad):
+                                                    d, eps, bad, seed):
     with pytest.MonkeyPatch.context() as mp:
         _check_against_lattice_bisection(_lattice_case_model(ref_model, chain_seed),
-                                         eps, d, tau, mp, bad)
+                                         eps, d, tau, mp, bad, seed)
 
 
 @pytest.mark.parametrize("d, tau, res_blocks", [
@@ -785,22 +817,63 @@ def test_bad_rate_proposals_resume_to_the_lattice_maximum(ref_model, monkeypatch
     _check_against_lattice_bisection(model, 1e-2, d, tau, monkeypatch, bad)
 
 
+@pytest.mark.parametrize("bad, seed", [(None, seed) for seed in BAD_SEEDS]
+                         + list(zip([0.0, 1e300, math.nan, 50, -1, 1], BAD_SEEDS)))
+@pytest.mark.parametrize("server, d, tau", [(None, 100, 1), (6.0, 50, 3)])
+def test_bad_seeds_resume_to_the_lattice_maximum(ref_model, monkeypatch, bad,
+                                                 seed, server, d, tau):
+    # each bad seed with the proposal's own rate, then paired with a bad rate
+    model = ref_model if server is None else single_state_model(server)
+    _check_against_lattice_bisection(model, 1e-2, d, tau, monkeypatch, bad, seed)
+
+
+def _count_work(monkeypatch):
+    """Counters of ln F evaluations and per-theta eigensolves, from an empty
+    memo."""
+    counts = {"log_f": 0, "eigh": 0}
+    solver, eigh = netcal._log_f_solver, np.linalg.eigh
+
+    def counted_solver(*args):
+        log_f = solver(*args)
+
+        def run(delta):
+            counts["log_f"] += 1
+            return log_f(delta)
+        return run
+
+    def counted_eigh(*args):
+        counts["eigh"] += 1
+        return eigh(*args)
+    monkeypatch.setattr(netcal, "_log_f_solver", counted_solver)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    netcal._spectrum.cache_clear()
+    return counts
+
+
 @pytest.mark.parametrize("d, tau", [(60, 1), (100, 1), (140, 1), (100, 5)])
 def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
                                             d, tau):
-    # per-theta eigensolves per throughput point at the reference point,
-    # from an empty memo: one per theta of the rate proposal, plus the exact
-    # probes that confirm it, the confirming probe starting from the theta
-    # of the refused point above, and report the delay; a theta that reads
-    # +inf costs one too, and a theta met again costs none
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
-    netcal._spectrum.cache_clear()
+    # ln F evaluations and per-theta eigensolves per throughput point at the
+    # reference point: two exact values per theta of the rate proposal,
+    # where the Perron root stands, then the probes that confirm it, each
+    # starting from the best theta of the probe before it, and one full
+    # minimisation for theta*; a theta that reads +inf costs an eigensolve
+    # too, and a theta met again costs none
+    counts = _count_work(monkeypatch)
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
-    assert len(calls) <= 56, len(calls)
+    assert counts["log_f"] <= 70 and counts["eigh"] <= 44, counts
+
+
+def test_long_guarantee_evaluation_budget(ref_cfg, ref_model, monkeypatch):
+    # a guarantee of 10 000 slots: the delay gallops down to 9890, each
+    # probe starting from the theta of the one before it
+    counts = _count_work(monkeypatch)
+    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+                                          d_guarantee_slots=10000)
+    assert res.delay_at_lambda.d_slots == 9890
+    assert counts["log_f"] <= 160 and counts["eigh"] <= 80, counts
 
 
 @pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])
@@ -809,12 +882,57 @@ def test_infeasible_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
     # a point refused at its first lattice step reports the zero-rate
     # source's delay by doubling from one slot; each probe stops once it is
     # decided, and one full minimisation reports theta*
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
-    netcal._spectrum.cache_clear()
+    counts = _count_work(monkeypatch)
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d,
                                           resolution_blocks=res_blocks)
     assert res.infeasible and res.delay_at_lambda.valid
-    assert len(calls) <= 120, len(calls)
+    assert counts["eigh"] <= 120, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
+       outage=st.booleans(), tau=st.sampled_from([1, 3, 5]),
+       d=st.sampled_from([1, 2, 10, 100, 1000]),
+       eps=st.sampled_from([1e-4, 1e-2, 0.3]))
+def test_perron_root_is_a_true_root_within_xtol(chain_seed, n_states, outage,
+                                               tau, d, eps):
+    # random chains, one-state ones, outage states and self-loops near 0
+    # (negative eigenvalues) among them, and guarantees of 1, 2 and 10 slots,
+    # where the Perron term need not dominate F: every per-theta batch that
+    # the proposal takes from the Perron form without Brent's search brackets
+    # the sign change of h = ln epsilon - ln F within xtol, and no draw
+    # raises or warns
+    model = _chain_model(*random_birth_death_chain(
+        np.random.default_rng(chain_seed), n_states, outage=outage))
+    log_eps, xtol = math.log(eps), 1e-3 * tau * RES
+    roots, brent = [], []
+    minimize, find_root = netcal.minimize_bounded, netcal.find_root
+    rate_proposal = netcal._rate_proposal
+
+    def spy_proposal(*args):
+        def spy_min(f, *args):
+            def g(x):
+                n = len(brent)
+                value = f(x)
+                if value < 0 and len(brent) == n:   # decided without Brent
+                    roots.append((math.exp(x), -value))
+                return value
+            return minimize(g, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netcal, "minimize_bounded", spy_min)
+            return rate_proposal(*args)
+
+    def h(theta, delta):
+        return log_eps - netcal.log_violation_bound(
+            cc.PeriodicSource(max(delta, 0.0), tau), model, theta, d)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(netcal, "_rate_proposal", spy_proposal)
+        mp.setattr(netcal, "find_root",
+                   lambda *args, **kw: brent.append(1) or find_root(*args, **kw))
+        cc.delay_constrained_throughput(
+            cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0), model,
+            epsilon=eps, d_guarantee_slots=d, tau_slots=tau)
+        for theta, delta in roots:
+            assert h(theta, delta - xtol) > 0 >= h(theta, delta + xtol), (theta, delta)

@@ -8,6 +8,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from scipy import optimize
 
 import cdmacal as cc
 from cdmacal import _search, amc, largesys, netcal
+
+from oracles import random_birth_death_chain
 
 RTOL = 4 * sys.float_info.epsilon     # find_root's fixed rtol
 
@@ -212,7 +215,17 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
         assert not res.infeasible and res.delay_at_lambda.valid
     assert counts["largesys"] == 1 and counts["amc"] == 6
     assert counts["min"] > 0 and counts["min_stop"] > 0
-    assert counts["proposal_min"] == 2 and counts["proposal_root"] > 0
+    # at the reference point the Perron root decides every theta of the
+    # proposal, so Brent's root search never runs there
+    assert counts["proposal_min"] == 2 and counts["proposal_root"] == 0
+    # a three-state chain with a ten-slot guarantee, where it takes over
+    pi, p, rates = random_birth_death_chain(np.random.default_rng(1), 3)
+    chain = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
+                         rates_blocks=rates)
+    res = cc.delay_constrained_throughput(ref_cfg, chain, epsilon=1e-2,
+                                          d_guarantee_slots=10)
+    assert not res.infeasible and res.delay_at_lambda.valid
+    assert counts["proposal_min"] == 3 and counts["proposal_root"] > 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,7 +3,8 @@
 held slot for slot to a per-slot walk on the model's chains and on random
 birth-death chains, exact hand-worked cases for the FIFO
 queue, the chunked queue held to the whole-array reference in ``oracles``
-on the model's chains and on random ones, the word table built once per
+on the model's chains and to an exact rational Lindley recursion on random
+ones down to loads of 1e-9, the word table built once per
 model, and the queue's delays unchanged when the block unit is rescaled."""
 import dataclasses
 import itertools
@@ -20,9 +21,9 @@ import cdmacal as cc
 from cdmacal import sim
 
 from conftest import single_state_model
-from oracles import (fifo_queue_whole_array, finite_sinr_direct,
-                     fsmc_path_loop, random_birth_death_chain,
-                     sample_finite_sinr_batch)
+from oracles import (fifo_queue_exact, fifo_queue_whole_array,
+                     finite_sinr_direct, fsmc_path_loop,
+                     random_birth_death_chain, sample_finite_sinr_batch)
 
 
 def test_single_user_is_matched_filter():
@@ -313,16 +314,15 @@ def test_chunked_queue_matches_whole_array_reference(ref_model, monkeypatch,
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 8),
        max_rate=st.floats(0.0, 30.0), outage=st.booleans(),
        tau=st.integers(1, 7),
-       load=st.one_of(st.just(0.0), st.floats(0.1, 1.5)),
+       load=st.one_of(st.just(0.0), st.floats(1e-9, 1.5),
+                      st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e)),
        n=st.integers(1, 3000), chunk=st.sampled_from([1, 7, 64]))
-def test_queue_matches_whole_array_reference_on_random_chains(
+def test_queue_matches_exact_lindley_reference_on_random_chains(
         seed, n_states, max_rate, outage, tau, load, n, chunk):
-    # busy periods that end and restart across chunk ends, where c_k moves.
-    # The reference's departure curve S + (A - S) rounds by up to half an ulp
-    # of S, which the 1e-12 level margin absorbs only while A/S exceeds about
-    # 1.1e-4; on these chains A/S >= load * pi_top / 2 >= load / 340, hence
-    # load 0 or at least 0.1 (test_queue_light_load_departs_in_its_arrival_slot
-    # holds lighter loads to the exact answer)
+    # busy periods that end and restart across chunk ends, where c_k moves,
+    # and loads down to 1e-9 (log-uniform among them), where a batch is far
+    # below one slot's service: the reference sums in exact rationals, so no
+    # rounding of S decides a departure
     pi, p, rates = random_birth_death_chain(np.random.default_rng(seed),
                                             n_states, max_rate, outage)
     model = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates,
@@ -330,7 +330,7 @@ def test_queue_matches_whole_array_reference_on_random_chains(
     src = cc.PeriodicSource(load * tau * float(pi @ rates), tau_slots=tau)
     with mock.patch.object(sim, "_CHUNK", chunk):
         got = cc.simulate_fifo_queue(model, src, n, seed=seed)
-    want = fifo_queue_whole_array(model, src, n, seed=seed)
+    want = fifo_queue_exact(model, src, n, seed=seed)
     assert np.array_equal(got.delays_slots, want.delays_slots)
     assert (got.epochs, got.undelivered) == (want.epochs, want.undelivered)
 
