@@ -91,10 +91,7 @@ class ExperimentSpec:
             return [None]
         n = int(math.floor((self.sweep_stop - self.sweep_start)
                            / self.sweep_step + 1e-9)) + 1
-        vals = self.sweep_start + self.sweep_step * np.arange(n)
-        if self.sweep_axis == "delay_guarantee":
-            return [int(round(v)) for v in vals]
-        return [float(v) for v in vals]
+        return [float(v) for v in self.sweep_start + self.sweep_step * np.arange(n)]
 
 
 def _check_point(epsilon, d_guarantee_slots):
@@ -205,7 +202,7 @@ def _point_inputs(spec, value):
     axis = spec.sweep_axis
     if value is not None:
         if axis == "delay_guarantee":
-            d_g = int(value)
+            d_g = value                 # _check_point refuses a fractional one
         elif axis == "epsilon":
             eps = float(value)
         else:

@@ -37,14 +37,13 @@ min_theta ln F <= ln epsilon, found by doubling and bisection because F is
 non-increasing in tau_d.
 
 Throughput is the largest rate on a lattice of spacing ``resolution_blocks``
-that meets the guarantee d.  Per theta the batch delta*(theta) with ln
-F_theta(d) = ln epsilon is a root, and max_theta delta*(theta) / tau (the
-effective-bandwidth / effective-capacity duality) proposes the rate.  Near
-that root the Perron term of F dominates, so its closed form gives
-delta*(theta), which two exact values of ln F confirm (Brent's root search
-takes over when they do not bracket it).  The proposal only chooses where
-the probes start: the exact lattice predicate confirms it, or gallops
-outward from it and bisects, and the reported delay gallops down from d.
+that meets the guarantee d.  max_theta delta_P(theta) / tau (the
+effective-bandwidth / effective-capacity duality) proposes the rate, where
+delta_P is the batch at which the Perron term of F_theta(d), which
+usually dominates F near the root, alone meets epsilon: a closed form in
+the spectrum, with no value of ln F.  The proposal only chooses where the
+probes start: the exact lattice predicate confirms it, or gallops outward
+from it and bisects, and the reported delay gallops down from d.
 Each probe is decided: it holds at the first theta with ln F <= ln
 epsilon, and is refused once chord lines through the values met bound the
 convex ln F above ln epsilon.  A probe starts from the best theta of the
@@ -57,7 +56,7 @@ import math
 
 import numpy as np
 
-from ._search import find_root, minimize_bounded
+from ._search import minimize_bounded
 from .errors import whole_number
 
 
@@ -95,8 +94,9 @@ def _perron_gap(up, diag, down, decay, m_off, y):
 
 @functools.lru_cache(maxsize=256)
 def _spectrum(model, theta):
-    """_log_f_solver's theta-only part, kept since searches revisit theta: ln
-    lambda_1, ln g's scale and, lambda_k descending, ln c_k, ln |r_k|, r_k < 0."""
+    """_log_f's theta-only part, kept since searches revisit theta, and all the
+    rate proposal reads: ln lambda_1, ln g's scale and, lambda_k descending,
+    ln c_k, ln |r_k|, r_k < 0."""
     log_sym, log_pi, up, diag, down = model.birth_death
     decay = theta * model.rates_blocks
     log_m, log_g = log_sym - (decay[:, None] + decay) / 2, log_pi - decay
@@ -113,38 +113,34 @@ def _spectrum(model, theta):
     return log_lam1, g_top, log_c, log_ratio, lam[::-1] < 0
 
 
-def _log_f_solver(model, theta, tau, d_slots):
-    """delta -> ln F_theta(d), +inf where delta is unstable, as the sum of the L
-    tau terms c_k r_k^{d-1+r} b_r lambda_1^r / (1 - e^{theta delta} lambda_k^tau),
-    or where terms of negative lambda_k cancel a checked, not proven, bound on F."""
+def _log_f(model, theta, tau, d_slots, delta):
+    """ln F_theta(d) at batch delta, +inf where delta is unstable, as the sum of
+    the L tau terms c_k r_k^{d-1+r} b_r lambda_1^r / (1 - e^{theta delta}
+    lambda_k^tau), or where terms of negative lambda_k cancel a checked, not
+    proven, bound on F."""
     log_lam1, g_top, log_c, log_ratio, neg = _spectrum(model, theta)
+    e = theta * delta + tau * (log_ratio + log_lam1)  # ln|e^{theta delta} lambda_k^tau|
+    if not e[0] < 0:                                  # the Perron term diverges
+        return math.inf
     power = np.arange(d_slots - 1, d_slots - 1 + tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_head = log_c[:, None] + np.where(power > 0, log_ratio[:, None] * power, 0.0)
+        t = log_c[:, None] + np.where(power > 0, log_ratio[:, None] * power, 0.0)
         if tau > 1:     # ln b_r lambda_1^r, b_r = 1 - r/tau + (r/tau) e^{theta delta}
             r = np.arange(tau)
             log_stay, log_move = (np.log1p(-r / tau) + r * log_lam1,
                                   np.log(r / tau) + r * log_lam1)
-    tau_log_lam = tau * (log_ratio + log_lam1)
-    flip = neg & (tau % 2 == 1)                         # lambda_k^tau < 0
     sign = np.where(neg[:, None] & (power % 2 == 1), -1.0, 1.0) if neg[-1] else None
-    common = g_top + (d_slots - 1) * log_lam1
     bound = math.ulp(1.0) * len(neg) * (d_slots + tau + 1)
-
-    def log_f(delta):
-        e = theta * delta + tau_log_lam         # ln |e^{theta delta} lambda_k^tau|
-        if not e[0] < 0:                        # the Perron term diverges
-            return math.inf
-        den = -np.expm1(e) if sign is None else np.where(flip, 1 + np.exp(e),
-                                                          -np.expm1(e))
-        t = log_head - np.log(den)[:, None]
-        if tau > 1:
-            t += np.logaddexp(log_stay, log_move + theta * delta)
-        w = np.exp(t - (t_top := t.max()))
-        total = w.sum()
-        s = total if sign is None else (sign * w).sum() + bound * total
-        return float(common + t_top + math.log(s if s > 2 * bound * total else total))
-    return log_f
+    flip = neg & (tau % 2 == 1)                       # lambda_k^tau < 0
+    den = -np.expm1(e) if sign is None else np.where(flip, 1 + np.exp(e), -np.expm1(e))
+    t -= np.log(den)[:, None]
+    if tau > 1:
+        t += np.logaddexp(log_stay, log_move + theta * delta)
+    w = np.exp(t - (t_top := t.max()))
+    total = w.sum()
+    s = total if sign is None else (sign * w).sum() + bound * total
+    return float(g_top + (d_slots - 1) * log_lam1 + t_top
+                 + math.log(s if s > 2 * bound * total else total))
 
 
 def log_violation_bound(source, model, theta, d_slots):
@@ -154,7 +150,7 @@ def log_violation_bound(source, model, theta, d_slots):
     if not (math.isfinite(theta) and theta >= 0):
         raise ValueError("theta must be finite and nonnegative")
     d_slots = whole_number("d_slots", d_slots, 1)
-    return _log_f_solver(model, theta, source.tau_slots, d_slots)(source.delta_blocks)
+    return _log_f(model, theta, source.tau_slots, d_slots, source.delta_blocks)
 
 
 def _stable(source, model):
@@ -208,8 +204,8 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, seed=math.nan):
     seen, stop = {}, log_eps if decide else -math.inf
 
     def f(th):
-        seen[th] = fx = _log_f_solver(model, th, source.tau_slots,
-                                      d_slots)(source.delta_blocks)
+        seen[th] = fx = _log_f(model, th, source.tau_slots, d_slots,
+                               source.delta_blocks)
         if decide and _minorant(seen) > log_eps + 1e-9 * (1 + abs(log_eps)):
             raise _Refused
         return fx
@@ -325,37 +321,34 @@ class ThroughputResult:
     infeasible: bool            # the first lattice point is refused
 
 
-def _rate_proposal(model, tau, d_g, log_eps, resolution):
-    """(max_theta delta*(theta) / tau, its theta), delta* the root of h =
-    tanh((ln epsilon - ln F_theta(d_g)) / 2), by one search over four decades
-    of ln theta from -ln epsilon / (d_g max Rb), below which Ms(theta, d_g)
-    alone exceeds epsilon.  The theta that certify a batch form an interval
-    that shrinks as it grows, so delta* is quasi-concave; where no batch is
-    certified the objective is how far the zero batch misses.  Per theta the
-    Perron term of F alone gives x = e^{theta delta} = (1 - p a) / (lambda_1^tau
-    + p b), p = c_1 lambda_1^{d_g - 1} / epsilon, a and b = sum_r (1 - r/tau)
-    and (r/tau) lambda_1^r; it stands when h changes sign across delta +-
-    xtol / 2, and Brent's root search on [0, tau pi Rb] takes over when not."""
-    top = tau * float(model.pi @ model.rates_blocks)
-    xtol, r = 1e-3 * tau * resolution, np.arange(tau)
+def _rate_proposal(model, tau, d_g, log_eps):
+    """(max_theta delta_P(theta) / tau, its theta) from the memoised spectrum
+    alone, by one search over four decades of ln theta from -ln epsilon /
+    (d_g max Rb), below which Ms(theta, d_g) alone exceeds epsilon.  delta_P
+    is the batch at which the Perron term of F_theta(d_g) alone meets
+    epsilon: x = e^{theta delta} = (1 - p a) / (lambda_1^tau + p b), p = c_1
+    lambda_1^{d_g - 1} / epsilon, a and b = sum_r (1 - r/tau) and (r/tau)
+    lambda_1^r.  Where delta_P <= 0 the objective is tanh(miss / 2) >= 0,
+    miss = ln of that term at the zero batch over epsilon, and 1 where
+    lambda_1 is not below 1.  Where the Perron term does not dominate F near
+    the root the proposal is off, and the lattice probes gallop further."""
+    r = np.arange(tau)
 
     def neg_delta(x):
         theta = math.exp(x)
-        log_f = _log_f_solver(model, theta, tau, d_g)
-        h = lambda delta: math.tanh((log_eps - log_f(delta)) / 2)
         log_lam1, g_top, log_c = _spectrum(model, theta)[:3]
+        if not log_lam1 < 0:
+            return 1.0
         lam_r = np.exp(r * log_lam1)
         log_p = g_top + log_c[0] + (d_g - 1) * log_lam1 - log_eps
         log_pa = log_p + math.log((1 - r / tau) @ lam_r)
-        if log_pa < 0 and (den := math.exp(tau * log_lam1)
-                           + math.exp(log_p) * (r / tau @ lam_r)) > 0:
-            delta = (math.log1p(-math.exp(log_pa)) - math.log(den)) / theta
-            if xtol <= 2 * delta and h(delta - xtol / 2) > 0 >= h(delta + xtol / 2):
-                return -delta
-        h0 = h(0.0)
-        if not h0 > 0:
-            return -h0
-        return -find_root(h, 0.0, top, xtol, fa=h0, fb=min(h(top), 0.0))[0]
+        with np.errstate(divide="ignore"):      # b = 0 at tau 1
+            log_den = np.logaddexp(tau * log_lam1, log_p + np.log(r / tau @ lam_r))
+        if log_pa < 0 and (delta := (math.log1p(-math.exp(log_pa)) - log_den)
+                           / theta) > 0:
+            return float(-delta)
+        return math.tanh((log_p + math.log(lam_r.sum())
+                          - math.log(-math.expm1(tau * log_lam1))) / 2)
     x_lo = math.log(-log_eps / (d_g * model.rates_blocks.max()))
     x, fun = minimize_bounded(neg_delta, x_lo, x_lo + math.log(1e4), 1e-2)
     return -fun / tau, math.exp(x)
@@ -401,7 +394,7 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     k, top = 0, None
     if not infeasible:
         k_stab = _first_true(lambda k: not _stable(source(k), model), 1)
-        lam, seed = _rate_proposal(model, tau_slots, d_g, log_eps, resolution_blocks)
+        lam, seed = _rate_proposal(model, tau_slots, d_g, log_eps)
         guess = math.floor(lam / resolution_blocks) + 1 if math.isfinite(lam) else None
         k, top = _first_true(refused, 1, k_stab, guess) - 1, d_g
     lam = k * resolution_blocks

@@ -83,6 +83,9 @@ def test_sweep_values_out_of_range_exit_one(capsys):
     for axis, start, stop, step, bad in (
             ("epsilon", "0", "0.1", "0.05", "epsilon = 0"),
             ("delay_guarantee", "-20", "20", "20", "delay_guarantee = -20"),
+            ("delay_guarantee", "60.5", "141", "40", "delay_guarantee = 60.5: "
+             "d_guarantee_slots must be a whole number"),
+            ("delay_guarantee", "60", "61", "0.4", "delay_guarantee = 60.4: "),
             ("alpha", "-0.5", "0.5", "0.5", "alpha = -0.5")):
         code = main(["sweep", *POINT_ARGS, "--sweep-axis", axis,
                      "--sweep-start", start, "--sweep-stop", stop,

@@ -13,8 +13,8 @@ gallops from a guess to plain bisection's answer within a probe budget,
 and the throughput search, whatever its rate proposal and the theta its
 probes start from, returns what plain bisection over the rate lattice and
 the delay returns, each of its probes answered there by a full
-minimisation.  Every batch the proposal takes from the Perron term is a
-root within its tolerance, and a throughput point stays within its budget
+minimisation.  The rate proposal, which reads the spectrum alone, is
+finite on random chains, and a throughput point stays within its budget
 of ln F evaluations and eigensolves.  The chord-line minorant that
 certifies a refusal never exceeds the minimum of a random convex function.
 A chain that is not a reversible birth-death chain is refused by name.
@@ -220,15 +220,15 @@ def test_stable_set_is_the_perron_test_even_where_the_float_solve_failed():
     # reads +inf
     two = _chain_model(np.array([1.0, 0.0]), np.eye(2), np.array([400.0, 400.0]))
     for model in (single_state_model(400.0), two):
-        got = netcal._log_f_solver(model, 1.0, 3, 1)(1150.0)
+        got = netcal._log_f(model, 1.0, 3, 1, 1150.0)
         want = log_violation_bound_mp(model.pi, model.transition,
                                       model.rates_blocks, 1150.0, 3, 1.0, 1)
         assert got == pytest.approx(want, rel=1e-14) and round(want, 2) == 348.90
-        assert math.isfinite(netcal._log_f_solver(model, 1.0, 3, 1)(700.0))
+        assert math.isfinite(netcal._log_f(model, 1.0, 3, 1, 700.0))
         for delta in (1200.0, 1201.0, 1e300):
-            assert netcal._log_f_solver(model, 1.0, 3, 1)(delta) == math.inf
-    solver = netcal._log_f_solver(single_state_model(2.0), 1.0, 1, 1)
-    assert solver(2.0) == solver(1000.0) == math.inf
+            assert netcal._log_f(model, 1.0, 3, 1, delta) == math.inf
+    for delta in (2.0, 1000.0):
+        assert netcal._log_f(single_state_model(2.0), 1.0, 1, 1, delta) == math.inf
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,7 +275,7 @@ def test_spectral_form_matches_the_log_domain_kernel(seed, n, max_rate, tau,
     pi, p, rates = random_birth_death_chain(rng, n, max_rate)
     delta = load * tau * max(float(pi @ rates), 0.1)
     theta = math.exp(log_theta)
-    got = netcal._log_f_solver(_chain_model(pi, p, rates), theta, tau, d)(delta)
+    got = netcal._log_f(_chain_model(pi, p, rates), theta, tau, d, delta)
     want = log_violation_bound_log_domain(pi, p, rates, delta, tau, theta, d)
     rho = np.abs(np.linalg.eigvals(p * np.exp(-theta * rates))).max()
     margin = -(theta * delta + tau * math.log(rho))
@@ -303,7 +303,7 @@ def test_cancelling_eigen_sum_gives_an_upper_bound(theta, d, want):
     rates = np.array([0.0, 30.0])
     assert log_violation_bound_mp(pi, p, rates, 0.0, 1, theta, d) == pytest.approx(
         want, rel=1e-15)
-    got = netcal._log_f_solver(_chain_model(pi, p, rates), theta, 1, d)(0.0)
+    got = netcal._log_f(_chain_model(pi, p, rates), theta, 1, d, 0.0)
     assert want - 1e-12 * abs(want) <= got < math.inf
     if d == 3:                              # even power: no cancellation
         assert got == pytest.approx(want, rel=1e-14)
@@ -831,20 +831,16 @@ def _count_work(monkeypatch):
     """Counters of ln F evaluations and per-theta eigensolves, from an empty
     memo."""
     counts = {"log_f": 0, "eigh": 0}
-    solver, eigh = netcal._log_f_solver, np.linalg.eigh
+    log_f, eigh = netcal._log_f, np.linalg.eigh
 
-    def counted_solver(*args):
-        log_f = solver(*args)
-
-        def run(delta):
-            counts["log_f"] += 1
-            return log_f(delta)
-        return run
+    def counted_log_f(*args):
+        counts["log_f"] += 1
+        return log_f(*args)
 
     def counted_eigh(*args):
         counts["eigh"] += 1
         return eigh(*args)
-    monkeypatch.setattr(netcal, "_log_f_solver", counted_solver)
+    monkeypatch.setattr(netcal, "_log_f", counted_log_f)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     netcal._spectrum.cache_clear()
     return counts
@@ -854,16 +850,15 @@ def _count_work(monkeypatch):
 def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
                                             d, tau):
     # ln F evaluations and per-theta eigensolves per throughput point at the
-    # reference point: two exact values per theta of the rate proposal,
-    # where the Perron root stands, then the probes that confirm it, each
-    # starting from the best theta of the probe before it, and one full
-    # minimisation for theta*; a theta that reads +inf costs an eigensolve
-    # too, and a theta met again costs none
+    # reference point: the rate proposal reads the spectrum alone, then the
+    # probes that confirm it, each starting from the best theta of the probe
+    # before it, and one full minimisation for theta*; a theta that reads
+    # +inf costs an eigensolve too, and a theta met again costs none
     counts = _count_work(monkeypatch)
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
-    assert counts["log_f"] <= 70 and counts["eigh"] <= 44, counts
+    assert counts["log_f"] <= 40 and counts["eigh"] <= 44, counts
 
 
 def test_long_guarantee_evaluation_budget(ref_cfg, ref_model, monkeypatch):
@@ -873,7 +868,7 @@ def test_long_guarantee_evaluation_budget(ref_cfg, ref_model, monkeypatch):
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=10000)
     assert res.delay_at_lambda.d_slots == 9890
-    assert counts["log_f"] <= 160 and counts["eigh"] <= 80, counts
+    assert counts["log_f"] <= 100 and counts["eigh"] <= 80, counts
 
 
 @pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])
@@ -895,44 +890,25 @@ def test_infeasible_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
        outage=st.booleans(), tau=st.sampled_from([1, 3, 5]),
        d=st.sampled_from([1, 2, 10, 100, 1000]),
        eps=st.sampled_from([1e-4, 1e-2, 0.3]))
-def test_perron_root_is_a_true_root_within_xtol(chain_seed, n_states, outage,
-                                               tau, d, eps):
+@example(chain_seed=0, n_states=1, outage=False, tau=1, d=1, eps=1e-4)
+def test_rate_proposal_is_finite_and_the_result_is_plain_bisection(
+        chain_seed, n_states, outage, tau, d, eps):
     # random chains, one-state ones, outage states and self-loops near 0
     # (negative eigenvalues) among them, and guarantees of 1, 2 and 10 slots,
-    # where the Perron term need not dominate F: every per-theta batch that
-    # the proposal takes from the Perron form without Brent's search brackets
-    # the sign change of h = ln epsilon - ln F within xtol, and no draw
-    # raises or warns
+    # where the Perron term need not dominate F: each proposal the throughput
+    # search makes, with warnings as errors, raises nothing and gives a
+    # finite rate and a finite theta > 0, and the result is plain bisection's.
+    # The example is a one-state chain at d_g 1 whose lambda_1^tau underflows
+    # inside the search range
     model = _chain_model(*random_birth_death_chain(
         np.random.default_rng(chain_seed), n_states, outage=outage))
-    log_eps, xtol = math.log(eps), 1e-3 * tau * RES
-    roots, brent = [], []
-    minimize, find_root = netcal.minimize_bounded, netcal.find_root
-    rate_proposal = netcal._rate_proposal
+    proposals, rate_proposal = [], netcal._rate_proposal
 
-    def spy_proposal(*args):
-        def spy_min(f, *args):
-            def g(x):
-                n = len(brent)
-                value = f(x)
-                if value < 0 and len(brent) == n:   # decided without Brent
-                    roots.append((math.exp(x), -value))
-                return value
-            return minimize(g, *args)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netcal, "minimize_bounded", spy_min)
-            return rate_proposal(*args)
-
-    def h(theta, delta):
-        return log_eps - netcal.log_violation_bound(
-            cc.PeriodicSource(max(delta, 0.0), tau), model, theta, d)
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mp.setattr(netcal, "_rate_proposal", spy_proposal)
-        mp.setattr(netcal, "find_root",
-                   lambda *args, **kw: brent.append(1) or find_root(*args, **kw))
-        cc.delay_constrained_throughput(
-            cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0), model,
-            epsilon=eps, d_guarantee_slots=d, tau_slots=tau)
-        for theta, delta in roots:
-            assert h(theta, delta - xtol) > 0 >= h(theta, delta + xtol), (theta, delta)
+    def spy(*args):
+        proposals.append(rate_proposal(*args))
+        return proposals[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcal, "_rate_proposal", spy)
+        _check_against_lattice_bisection(model, eps, d, tau, mp)
+    for rate, theta in proposals:
+        assert math.isfinite(rate) and 0 < theta < math.inf, (rate, theta)

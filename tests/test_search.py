@@ -175,15 +175,14 @@ def test_stop_returns_first_point_at_or_below_it():
 
 
 def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
-    counts = {"largesys": 0, "amc": 0, "min": 0, "min_stop": 0,
-              "proposal_root": 0, "proposal_min": 0}
+    counts = {"largesys": 0, "amc": 0, "min": 0, "min_stop": 0, "proposal_min": 0}
     proposing = []              # non-empty while the rate proposal runs
 
     def spy_root(site):
         def run(f, a, b, xtol, fa=None, fb=None):
-            counts["proposal_root" if proposing else site] += 1
-            # the thresholds and proposal sites evaluate both ends for
-            # their own sign test and hand the values over
+            counts[site] += 1
+            # the thresholds site evaluates both ends for its own sign test
+            # and hands the values over
             assert [fa is None, fb is None] == [site == "largesys"] * 2
             return check_root(f, a, b, xtol, fa, fb)
         return run
@@ -203,7 +202,6 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
     rate_proposal = netcal._rate_proposal
     monkeypatch.setattr(largesys, "find_root", spy_root("largesys"))
     monkeypatch.setattr(amc, "find_root", spy_root("amc"))
-    monkeypatch.setattr(netcal, "find_root", spy_root("proposal_root"))
     monkeypatch.setattr(netcal, "minimize_bounded", spy_min)
     monkeypatch.setattr(netcal, "_rate_proposal", spy_proposal)
     channel = cc.solve_fixed_point(ref_cfg)
@@ -215,17 +213,17 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
         assert not res.infeasible and res.delay_at_lambda.valid
     assert counts["largesys"] == 1 and counts["amc"] == 6
     assert counts["min"] > 0 and counts["min_stop"] > 0
-    # at the reference point the Perron root decides every theta of the
-    # proposal, so Brent's root search never runs there
-    assert counts["proposal_min"] == 2 and counts["proposal_root"] == 0
-    # a three-state chain with a ten-slot guarantee, where it takes over
+    # netcal makes no root search: the rate proposal reads the Perron root
+    # from the spectrum, at the reference point and on a three-state chain
+    # with a ten-slot guarantee, where the Perron term need not dominate F
+    assert not hasattr(netcal, "find_root") and counts["proposal_min"] == 2
     pi, p, rates = random_birth_death_chain(np.random.default_rng(1), 3)
     chain = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
                          rates_blocks=rates)
     res = cc.delay_constrained_throughput(ref_cfg, chain, epsilon=1e-2,
                                           d_guarantee_slots=10)
     assert not res.infeasible and res.delay_at_lambda.valid
-    assert counts["proposal_min"] == 3 and counts["proposal_root"] > 0
+    assert counts["proposal_min"] == 3
 
 
 def test_cli_import_loads_no_scipy():
