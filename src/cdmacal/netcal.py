@@ -47,8 +47,8 @@ from it and bisects, and the reported delay gallops down from d.
 Each probe is decided: it holds at the first theta with ln F <= ln
 epsilon, and is refused once chord lines through the values met bound the
 convex ln F above ln epsilon.  A probe starts from the best theta of the
-probe before it (the proposal's maximiser for the first); one full
-minimisation reports theta*.
+probe before it (the proposal's maximiser for the first); theta* is the
+theta at which the probe at the reported delay held, so it meets epsilon.
 """
 from dataclasses import dataclass
 import functools
@@ -180,46 +180,41 @@ class _Refused(Exception):
     """A decided search found that no theta meets epsilon."""
 
 
-def _best_theta(source, model, d_slots, log_eps, decide=False, seed=math.nan):
-    """(theta, ln F_theta(d)) at the minimiser of ln F over the stable set,
-    or at the first theta met with ln F <= log_eps while ln F still falls;
-    (nan, inf) when no stable theta is found.  ``decide`` stops at the first
-    theta met with ln F <= log_eps, or at the best one met once the minorant
-    of the values met lies above log_eps by more than a rounding margin; a
-    decided search meets ``seed`` first.
+def _best_theta(source, model, d_slots, log_eps, seed=math.nan):
+    """(theta, ln F_theta(d)) at the first theta met with ln F <= log_eps, or
+    at the best one met once the minorant of the values met lies above
+    log_eps by more than a rounding margin; (nan, inf) when no stable theta
+    is found.  The search meets ``seed`` first.
 
     The bracket comes from the values of ln F alone, +inf off the stable
     set and at theta = 0: the walk meets one over the mean service rate,
     then doubles theta while ln F falls.  Once it meets +inf at hi, it
     probes midway between theta and hi: +inf moves hi in, a value below
     ln F(theta) moves theta up, and any other value closes the bracket, so
-    the bounded minimiser only sees the convex, finite part.  The first
-    finite value and the doubling stop at ln F <= log_eps, the midway probes
-    above the first finite value only in a decided search.  A decided
-    search whose seed reads finite walks from the seed instead, in steps of
-    ln theta that start at 0.01 and double up to ln 2: down while ln F
-    falls, which closes the bracket at the seed's side, and otherwise up as
-    above, so both bracket ends stay finite.
+    the bounded minimiser only sees the convex, finite part.  Every stage
+    stops at ln F <= log_eps.  A search whose seed reads finite walks from
+    the seed instead, in steps of ln theta that start at 0.01 and double up
+    to ln 2: down while ln F falls, which closes the bracket at the seed's
+    side, and otherwise up as above, so both bracket ends stay finite.
     """
-    seen, stop = {}, log_eps if decide else -math.inf
+    seen = {}
 
     def f(th):
         seen[th] = fx = _log_f(model, th, source.tau_slots, d_slots,
                                source.delta_blocks)
-        if decide and _minorant(seen) > log_eps + 1e-9 * (1 + abs(log_eps)):
+        if _minorant(seen) > log_eps + 1e-9 * (1 + abs(log_eps)):
             raise _Refused
         return fx
     try:
         lo = theta = 0.0
         fx = hi = f_hi = math.inf
         x, grow = 1.0 / float(model.pi @ model.rates_blocks), 2.0
-        if decide and 0 < seed < math.inf and f(seed) < math.inf:
+        if 0 < seed < math.inf and f(seed) < math.inf:
             theta, fx, grow = seed, seen[seed], 1.01
             while fx > log_eps and (fn := f(x := theta / grow)) < fx:
                 hi, f_hi, theta, fx, grow = theta, fx, x, fn, min(grow * grow, 2.0)
             lo, x = x, grow * theta
-        while (f_hi == math.inf and theta < x < hi
-               and fx > (stop if lo and hi < math.inf else log_eps)):
+        while f_hi == math.inf and theta < x < hi and fx > log_eps:
             fn = f(x)
             if fn < fx:
                 lo, theta, fx = theta, x, fn
@@ -227,9 +222,9 @@ def _best_theta(source, model, d_slots, log_eps, decide=False, seed=math.nan):
                 hi, f_hi = x, fn
             grow = min(grow * grow, 2.0)
             x = grow * theta if hi == math.inf else (theta + hi) / 2
-        if f_hi == math.inf or fx <= stop:  # stopped early, or hi is next to theta
+        if f_hi == math.inf or fx <= log_eps:  # stopped early, or hi is next to theta
             return (theta, fx) if theta else (math.nan, math.inf)
-        x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
+        x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, log_eps)
         return (x, fun) if fun < fx else (theta, fx)
     except _Refused:
         return min(seen.items(), key=lambda item: item[1])
@@ -271,22 +266,24 @@ def _first_true(holds, lo, hi=None, guess=None):
 
 
 def _delay_search(source, model, epsilon, top=None, seed=math.nan):
-    """``delay_bound``, galloping down from ``top`` when it certifies; each
-    probe then meets the theta of the probe before it, the first ``seed``."""
+    """``delay_bound``, galloping down from ``top``, which ``seed`` certifies,
+    when given; each probe then meets the theta of the probe before it, the
+    first ``seed``.  theta* is the theta of the probe that held at d."""
     if _stable(source, model):
         log_eps = math.log(epsilon)
+        thetas = {top: seed}
 
         def holds(d):
             # No stable theta (nan) comes from the Perron test, which does not
             # involve d, so it holds at every delay and ends the search at d = 1.
             nonlocal seed
-            theta, fx = _best_theta(source, model, d, log_eps, decide=True, seed=seed)
+            theta, fx = _best_theta(source, model, d, log_eps, seed)
             if top:     # galloping down from top, the best theta moves little
                 seed = theta
+            thetas[d] = theta
             return math.isnan(theta) or fx <= log_eps
         d = _first_true(holds, 0, top, top)
-        theta = _best_theta(source, model, d, log_eps)[0]
-        if not math.isnan(theta):
+        if not math.isnan(theta := thetas[d]):
             return DelayBoundResult(d_slots=float(d), theta_star=theta,
                                     valid=True, unstable=False)
     return DelayBoundResult(d_slots=math.inf, theta_star=math.nan,
@@ -297,7 +294,7 @@ def delay_bound(source, model, epsilon):
     """Smallest delay tau_d whose violation probability bound drops below epsilon.
 
     F is non-increasing in tau_d, so tau_d is searched by doubling from one
-    slot and then bisection over decided probes; theta* minimises fully.
+    slot and then bisection over decided probes; theta* is where tau_d held.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
@@ -366,7 +363,8 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
     the probe before it: the proposal's for the first lattice probe, the one
     that certified the rate for the first delay probe.  It stops at the
     first theta that meets epsilon or at the first minorant that certifies a
-    refusal, so one full minimisation, at the reported delay, gives theta*.
+    refusal; theta* is the theta at which the probe at the reported delay
+    held, the lattice probe's that certified the rate at the guarantee.
     """
     d_g = whole_number("d_guarantee_slots", d_guarantee_slots, 0)
     if not resolution_blocks > 0:
@@ -385,7 +383,7 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
         src = source(k)
         if not (d_g >= 1 and _stable(src, model)):
             return True
-        seed, fx = _best_theta(src, model, d_g, log_eps, decide=True, seed=seed)
+        seed, fx = _best_theta(src, model, d_g, log_eps, seed)
         if fx <= log_eps:
             held = seed
         return not fx <= log_eps

@@ -19,11 +19,12 @@ because only tests read them.  The finite-system SINR sampler is a Monte
 Carlo check of the large-system fixed point that only tests call, so it
 lives here too, next to its direct-solve reference.  The plain bisections
 over the rate lattice and the delay keep the library's exact ln F and
-answer each probe by a full minimisation over theta: they are what the
-throughput search's rate proposal, galloping and decided probes must
-reproduce.  The service MGF through the library's log-domain kernel and the
-arrival MGF's closed form were public library functions that only tests
-called; they live here as the quantities the oracles above are held to.
+answer each probe by ``best_theta_full``, the library's former full
+minimisation over theta: they are what the throughput search's rate
+proposal, galloping and decided probes must reproduce.  The service MGF
+through the library's log-domain kernel and the arrival MGF's closed form
+were public library functions that only tests called; they live here as
+the quantities the oracles above are held to.
 """
 from fractions import Fraction
 import functools
@@ -35,6 +36,7 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from cdmacal import netcal
+from cdmacal._search import minimize_bounded
 from cdmacal.errors import whole_number
 
 
@@ -625,16 +627,46 @@ def first_true_bisection(holds, lo, hi=None):
     return hi
 
 
+def best_theta_full(source, model, d_slots, log_eps):
+    """(theta, ln F_theta(d)) at the minimiser of the library's ln F over the
+    stable set, or at the first theta met with ln F <= log_eps while ln F
+    still falls; (nan, inf) when no stable theta is found.  The library's
+    former full minimisation: the walk of ``netcal._best_theta`` from one
+    over the mean service rate, whose midway probes and bounded minimiser
+    do not stop at log_eps, with no seed and no refusal by the minorant."""
+    stop = -math.inf
+
+    def f(th):
+        return netcal._log_f(model, th, source.tau_slots, d_slots,
+                             source.delta_blocks)
+    lo = theta = 0.0
+    fx = hi = f_hi = math.inf
+    x, grow = 1.0 / float(model.pi @ model.rates_blocks), 2.0
+    while (f_hi == math.inf and theta < x < hi
+           and fx > (stop if lo and hi < math.inf else log_eps)):
+        fn = f(x)
+        if fn < fx:
+            lo, theta, fx = theta, x, fn
+        else:
+            hi, f_hi = x, fn
+        grow = min(grow * grow, 2.0)
+        x = grow * theta if hi == math.inf else (theta + hi) / 2
+    if f_hi == math.inf or fx <= stop:  # stopped early, or hi is next to theta
+        return (theta, fx) if theta else (math.nan, math.inf)
+    x, fun = minimize_bounded(f, lo, hi, 1e-9 * hi, stop)
+    return (x, fun) if fun < fx else (theta, fx)
+
+
 def lattice_refusal(model, epsilon, d_g, resolution, tau):
     """The throughput search's exact predicate: k -> whether lattice point k
     is refused (empty stable set, or min_theta ln F_theta(d_g) > ln eps),
-    by a full minimisation over theta rather than the decided probe."""
+    by ``best_theta_full`` rather than the decided probe."""
     log_eps = math.log(epsilon)
 
     def refused(k):
         src = netcal.PeriodicSource(k * resolution * tau, tau)
         return not (d_g >= 1 and netcal._stable(src, model)
-                    and netcal._best_theta(src, model, d_g, log_eps)[1] <= log_eps)
+                    and best_theta_full(src, model, d_g, log_eps)[1] <= log_eps)
     return refused
 
 
@@ -642,7 +674,8 @@ def throughput_lattice_bisection(model, epsilon, d_g, resolution, tau):
     """(lambda_blocks, infeasible, d_slots, theta_star) by plain bisection
     over the rate lattice with the exact predicate, and the reported delay by
     plain bisection over (0, d_g] (doubling from one slot when even the first
-    lattice point is refused), each probe minimising ln F fully."""
+    lattice point is refused), each probe minimising ln F fully by
+    ``best_theta_full``, whose theta at the reported delay is theta_star."""
     log_eps = math.log(epsilon)
     refused = lattice_refusal(model, epsilon, d_g, resolution, tau)
     source = lambda k: netcal.PeriodicSource(k * resolution * tau, tau)
@@ -656,7 +689,7 @@ def throughput_lattice_bisection(model, epsilon, d_g, resolution, tau):
     src, d, theta = source(k), math.inf, math.nan
     if netcal._stable(src, model):
         best = functools.cache(
-            lambda d: netcal._best_theta(src, model, d, log_eps))
+            lambda d: best_theta_full(src, model, d, log_eps))
         d = first_true_bisection(
             lambda d: math.isnan(best(d)[0]) or best(d)[1] <= log_eps, 0, top)
         theta = best(d)[0]

@@ -11,12 +11,14 @@ re-checked by the oracle sum, and the throughput search is checked for its
 lattice certificate and its degenerate outcomes.  The integer search
 gallops from a guess to plain bisection's answer within a probe budget,
 and the throughput search, whatever its rate proposal and the theta its
-probes start from, returns what plain bisection over the rate lattice and
-the delay returns, each of its probes answered there by a full
-minimisation.  The rate proposal, which reads the spectrum alone, is
-finite on random chains, and a throughput point stays within its budget
-of ln F evaluations and eigensolves.  The chord-line minorant that
-certifies a refusal never exceeds the minimum of a random convex function.
+probes start from, returns the rate, flag and delay that plain bisection
+over the rate lattice and the delay returns, each of its probes answered
+there by a full minimisation, and a theta* that certifies the delay; on a
+near-periodic chain that theta* holds at 60 digits.  The rate proposal,
+which reads the spectrum alone, is finite on random chains, and a
+throughput point stays within its budget of ln F evaluations and
+eigensolves.  The chord-line minorant that certifies a refusal never
+exceeds the minimum of a random convex function.
 A chain that is not a reversible birth-death chain is refused by name.
 """
 import math
@@ -31,9 +33,10 @@ import cdmacal as cc
 from cdmacal import netcal
 
 from conftest import single_state_model
-from oracles import (arrival_log_mgf_enumeration, first_true_bisection,
-                     lattice_refusal, log_matmul, log_matmul_mp,
-                     log_violation_bound_log_domain, log_violation_bound_mp,
+from oracles import (_log_chain, arrival_log_mgf_enumeration,
+                     first_true_bisection, lattice_refusal, log_matmul,
+                     log_matmul_mp, log_violation_bound_log_domain,
+                     log_violation_bound_mp,
                      periodic_log_mgf, random_birth_death_chain, random_chain,
                      service_log_mgf, service_log_mgf_enumeration,
                      service_log_mgf_table_logsumexp,
@@ -140,21 +143,34 @@ def _assert_table_close(got, want):
 
 
 def _table(model, thetas, horizon):
-    return np.stack([service_log_mgf(model, thetas, t)
-                     for t in range(horizon + 1)], axis=-1)
+    """ln Ms(theta, t) for t = 0..horizon, column t from column t - 1 by one
+    log-domain product ln w_t = ln w_{t-1} (x) ln(P D)."""
+    row, lpd = _log_chain(model.pi, model.transition, model.rates_blocks,
+                          np.asarray(thetas, dtype=float))
+    columns = [np.zeros(np.shape(thetas))]
+    for t in range(1, horizon + 1):
+        columns.append(np.logaddexp.reduce(row[..., 0, :], axis=-1))
+        if t < horizon:
+            row = log_matmul(row, lpd)
+    return np.stack(columns, axis=-1)
 
 
 def test_service_mgf_table_matches_logsumexp_recursion():
+    # the whole table by one step per column, and the oracles' repeated
+    # squaring at a few horizons, odd and even, powers of two and not
     rng = np.random.default_rng(77)
+    ts = [1, 2, 3, 64, 255, 300]
     for trial in range(24):
         n = int(rng.integers(1, 9))
         pi, p, rates = random_chain(rng, n, max_rate=(3.0, 30.0)[trial % 2],
                                     sparse=trial % 3 == 1)
         if trial % 4 == 3:
             rates[0] = 0.0                          # force an outage state
-        got = _table(_chain_model(pi, p, rates), GRID, 300)
+        model = _chain_model(pi, p, rates)
         want = service_log_mgf_table_logsumexp(pi, p, rates, GRID, 300)
-        _assert_table_close(got, want)
+        _assert_table_close(_table(model, GRID, 300), want)
+        _assert_table_close(np.stack([service_log_mgf(model, GRID, t)
+                                      for t in ts], axis=-1), want[:, ts])
 
 
 def test_service_mgf_table_keeps_mass_a_linear_recursion_underflows():
@@ -325,6 +341,31 @@ def test_certificate_near_the_stability_limit_holds_on_both_chains(ref_model,
             src.delta_blocks, 1, res.theta_star, int(res.d_slots), dps=60,
             stochastic=stochastic)
         assert log_f <= math.log(1e-2), (margin, stochastic, res, log_f)
+
+
+def test_printed_theta_certifies_its_delay_on_a_near_periodic_chain(ref_cfg):
+    # a two-state chain whose first state has no self-loop, at tau 5 and a
+    # one-slot guarantee: ln F is not convex in theta there, and a full
+    # minimisation at the reported delay stops at a theta (4.18761) where
+    # ln F is -4.506 at 60 digits, above ln epsilon, while the decided probe
+    # that certified the rate held at theta 4.40492 (-4.624)
+    pi1 = 0.73180692
+    ratio = (1 - pi1) / pi1
+    pi, p = np.array([1 - pi1, pi1]), np.array([[0.0, 1.0], [ratio, 1 - ratio]])
+    rates = np.array([7.83595831, 23.00699054])
+    model = _chain_model(pi, p, rates)
+    res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
+                                          d_guarantee_slots=1, tau_slots=5)
+    bound = res.delay_at_lambda
+    assert bound.valid and bound.d_slots == 1
+    src = cc.PeriodicSource(res.lambda_blocks * 5, 5)
+    assert cc.log_violation_bound(src, model, bound.theta_star,
+                                  1) <= math.log(1e-2)
+    for stochastic in (False, True):
+        log_f = log_violation_bound_mp(pi, p, rates, src.delta_blocks, 5,
+                                       bound.theta_star, 1, dps=60,
+                                       stochastic=stochastic)
+        assert log_f <= math.log(1e-2), (stochastic, res, log_f)
 
 
 def test_chains_that_are_not_reversible_birth_death_are_refused_by_name():
@@ -583,7 +624,8 @@ def test_bursty_source_certifies_the_exact_rate(ref_cfg, ref_model):
 def test_reported_delay_matches_the_unbounded_search(ref_cfg, ref_model,
                                                      d_guarantee, tau):
     # the throughput searches the reported delay only up to the guarantee;
-    # it must equal the public search over all delays, exponent included
+    # it must equal the public search over all delays, and each exponent
+    # must certify it
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d_guarantee,
                                           tau_slots=tau)
@@ -591,7 +633,10 @@ def test_reported_delay_matches_the_unbounded_search(ref_cfg, ref_model,
     full = cc.delay_bound(cc.PeriodicSource(res.lambda_blocks * tau, tau),
                           ref_model, 1e-2)
     assert res.delay_at_lambda.d_slots == full.d_slots <= d_guarantee
-    assert res.delay_at_lambda.theta_star == full.theta_star
+    for bound in (res.delay_at_lambda, full):
+        assert cc.log_violation_bound(
+            cc.PeriodicSource(res.lambda_blocks * tau, tau), ref_model,
+            bound.theta_star, int(bound.d_slots)) <= math.log(1e-2), bound
 
 
 def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
@@ -748,10 +793,11 @@ def _beyond_stable_set(model, delta, tau):
 
 def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
                                      seed=None, res_blocks=1e-3):
-    """The throughput result equals plain bisection's.  A bad rate, when
-    given, replaces the proposal's (an int is an offset in lattice steps from
-    the answer), and a bad seed the proposal's theta.  The returned point
-    holds and the one above is refused."""
+    """The throughput result equals plain bisection's in rate, flag and
+    delay, and its theta* certifies the delay.  A bad rate, when given,
+    replaces the proposal's (an int is an offset in lattice steps from the
+    answer), and a bad seed the proposal's theta.  The returned point holds
+    and the one above is refused."""
     want = throughput_lattice_bisection(model, eps, d, res_blocks, tau)
     if seed == "beyond":
         seed = _beyond_stable_set(model, want[0] * tau, tau)
@@ -773,8 +819,11 @@ def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
     monkeypatch.undo()
     got = (res.lambda_blocks, res.infeasible, res.delay_at_lambda.d_slots,
            res.delay_at_lambda.theta_star)
-    assert got[:3] == want[:3] and (got[3] == want[3] or
-                                    math.isnan(got[3]) and math.isnan(want[3]))
+    assert got[:3] == want[:3] and math.isnan(got[3]) == math.isnan(want[3])
+    if math.isfinite(got[2]):
+        assert netcal.log_violation_bound(
+            cc.PeriodicSource(res.lambda_blocks * tau, tau), model, got[3],
+            int(got[2])) <= math.log(eps), (got, want)
     k = round(res.lambda_blocks / res_blocks)
     refused = lattice_refusal(model, eps, d, res_blocks, tau)
     assert refused(k + 1) and (k == 0 or not refused(k))
@@ -851,24 +900,26 @@ def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
                                             d, tau):
     # ln F evaluations and per-theta eigensolves per throughput point at the
     # reference point: the rate proposal reads the spectrum alone, then the
-    # probes that confirm it, each starting from the best theta of the probe
-    # before it, and one full minimisation for theta*; a theta that reads
-    # +inf costs an eigensolve too, and a theta met again costs none
+    # decided probes that confirm it, each starting from the best theta of
+    # the probe before it, whose theta at the reported delay is theta*; a
+    # theta that reads +inf costs an eigensolve too, and a theta met again
+    # costs none (8-9 evaluations and 14-18 eigensolves measured)
     counts = _count_work(monkeypatch)
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
-    assert counts["log_f"] <= 40 and counts["eigh"] <= 44, counts
+    assert counts["log_f"] <= 12 and counts["eigh"] <= 22, counts
 
 
 def test_long_guarantee_evaluation_budget(ref_cfg, ref_model, monkeypatch):
     # a guarantee of 10 000 slots: the delay gallops down to 9890, each
-    # probe starting from the theta of the one before it
+    # probe starting from the theta of the one before it (34 evaluations and
+    # 32 eigensolves measured)
     counts = _count_work(monkeypatch)
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=10000)
     assert res.delay_at_lambda.d_slots == 9890
-    assert counts["log_f"] <= 100 and counts["eigh"] <= 80, counts
+    assert counts["log_f"] <= 40 and counts["eigh"] <= 40, counts
 
 
 @pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])
@@ -876,13 +927,14 @@ def test_infeasible_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
                                             d, res_blocks):
     # a point refused at its first lattice step reports the zero-rate
     # source's delay by doubling from one slot; each probe stops once it is
-    # decided, and one full minimisation reports theta*
+    # decided, and the one that held at the reported delay gives theta*
+    # (73-79 evaluations and 9 eigensolves measured)
     counts = _count_work(monkeypatch)
     res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d,
                                           resolution_blocks=res_blocks)
     assert res.infeasible and res.delay_at_lambda.valid
-    assert counts["eigh"] <= 120, counts
+    assert counts["log_f"] <= 90 and counts["eigh"] <= 16, counts
 
 
 @settings(max_examples=60, deadline=None)
