@@ -45,6 +45,8 @@ _LOG2E = math.log2(math.e)
 _GH_ORDER = 64
 _GH_NODES, _GH_WEIGHTS = hermgauss(_GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / _GH_WEIGHTS.sum()   # weights of exp(-x^2)/sqrt(pi)
+_GH_X = _GH_NODES[None, :, None]                # the nodes on axis 1 of (b, x, b')
+_GH_X2 = _GH_X ** 2
 
 # verify_thresholds looks for each switch point within this many dB of the
 # table value.
@@ -54,6 +56,14 @@ _BRACKET_DB = 8.0
 # dashes or underscores; the S levels (2k - S + 1)/sqrt((S^2 - 1)/3) of a
 # side have unit average energy.
 _PAM = {"bpsk": (2, 1), "qpsk": (2, 2), "16qam": (4, 2), "64qam": (8, 2)}
+# b - b' over the S levels of each side, by side.  Every capacity call shares
+# these and the node arrays, so they are built once and are read-only.
+_LEVEL_GAPS = {}
+for _side in {side for side, _ in _PAM.values()}:
+    _levels = np.arange(1 - _side, _side, 2) / math.sqrt((_side * _side - 1) / 3)
+    _LEVEL_GAPS[_side] = _levels[:, None] - _levels[None, :]
+for _shared in (_GH_X, _GH_X2, *_LEVEL_GAPS.values()):
+    _shared.flags.writeable = False
 
 _DEFAULT_ROWS = (
     (0, "bpsk", 0.0, -math.inf),
@@ -159,12 +169,10 @@ def constellation_capacity(constellation, gamma):
         raise ValueError("gamma must be a nonnegative linear SNR")
     if math.isinf(gamma):
         return axes * math.log2(side)
-    levels = np.arange(1 - side, side, 2) / math.sqrt((side * side - 1) / 3)
-    d = math.sqrt(gamma / axes) * (levels[:, None] - levels[None, :])
+    d = math.sqrt(gamma / axes) * _LEVEL_GAPS[side]
     # exp(x^2 - (x + d)^2) is at most exp(x_max^2) and the b' = b term is
     # exactly 1, so nothing overflows and the logarithm's argument is >= 1.
-    x = _GH_NODES[None, :, None]
-    inner = np.log(np.exp(x ** 2 - (x + d[:, None, :]) ** 2).sum(axis=2))
+    inner = np.log(np.exp(_GH_X2 - (_GH_X + d[:, None, :]) ** 2).sum(axis=2))
     mean_log = float(np.mean(inner @ _GH_WEIGHTS))
     return max(0.0, axes * (math.log2(side) - mean_log * _LOG2E))
 

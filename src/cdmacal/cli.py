@@ -8,9 +8,10 @@ Verbs:
 
 Exit codes: 0 success, 1 usage, configuration or runtime error, 2 a
 --strict check failed (invalid bound, failed simulation check, threshold
-mismatch).
+mismatch).  main may be called repeatedly in one process and reuses one parser.
 """
 import argparse
+import functools
 import sys
 
 from .amc import verify_thresholds
@@ -20,6 +21,8 @@ from .experiment import KEYS, parse_config, render_csv, run_experiment, _fmt
 # A run parameter's flag is its key with dashes, except for these.
 _SHORT_FLAGS = {"d_guarantee_slots": "--d-guarantee",
                 "resolution_blocks": "--resolution", "tau_slots": "--tau"}
+
+_shared_parser = functools.cache(lambda: build_parser())   # argparse keeps no parse state
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +145,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

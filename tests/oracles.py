@@ -17,7 +17,8 @@ departures.  The exponential SNR density and the dB
 conversion are the textbook formulas the pipeline is built on, kept here
 because only tests read them.  The finite-system SINR sampler is a Monte
 Carlo check of the large-system fixed point that only tests call, so it
-lives here too, next to its direct-solve reference.  The plain bisections
+lives here too, next to its direct-solve reference and an estimator that
+tags every user of a draw at the cost of one k x k solve.  The plain bisections
 over the rate lattice and the delay keep the library's exact ln F and
 answer each probe by ``best_theta_full``, the library's former full
 minimisation over theta: they are what the throughput search's rate
@@ -382,19 +383,51 @@ def sample_finite_sinr_batch(m, k, sigma2, n, seed=None, chunk=128):
     return sinr, p1
 
 
-def finite_sinr_direct(m, k, sigma2, n, seed):
-    """(sinr, p1) from the same draws as ``sample_finite_sinr_batch`` in one
-    chunk, with p1 s1^H (sigma2 I + A A^H)^-1 s1 by a direct m x m solve."""
+def finite_sinr_all_users(m, k, sigma2, n, seed=None, chunk=32):
+    """SINR_j / p_j of every user j in each of n finite systems, shape (n, k).
+
+    Draws systems the way ``sample_finite_sinr_batch`` does, but every user
+    is the tagged one.  With G = S^H S and C = sigma2 I + S P S^H, the push-through
+    identity gives S^H C^-1 S = (sigma2 I + G P)^-1 G, whose diagonal is
+    q_j = s_j^H C^-1 s_j; Sherman-Morrison removes user j from C, so
+    s_j^H M_j^-1 s_j = q_j / (1 - p_j q_j) with M_j = C - p_j s_j s_j^H.
+    One k x k solve per draw.
+    """
+    m, k = whole_number("m", m, 1), whole_number("k", k, 1)
+    n, chunk = whole_number("n", n, 0), whole_number("chunk", chunk, 1)
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite: {sigma2!r}")
+    rng = np.random.default_rng(seed)
+    ratio = np.empty((n, k))
+    eye = sigma2 * np.eye(k)
+    for done in range(0, n, chunk):
+        c = min(chunk, n - done)
+        s = (rng.standard_normal((c, m, k)) + 1j * rng.standard_normal((c, m, k)))
+        s /= math.sqrt(2 * m)
+        h = (rng.standard_normal((c, k)) + 1j * rng.standard_normal((c, k))) / math.sqrt(2)
+        p = np.abs(h) ** 2
+        g = s.conj().transpose(0, 2, 1) @ s
+        q = np.real(np.diagonal(np.linalg.solve(eye + g * p[:, None, :], g),
+                                axis1=1, axis2=2))
+        ratio[done:done + c] = q / (1 - p * q)
+    return ratio
+
+
+def finite_sinr_direct(m, k, sigma2, n, seed, tagged=0):
+    """(sinr, p1) from the same draws as ``sample_finite_sinr_batch`` and
+    ``finite_sinr_all_users`` in one chunk, with p1 s1^H (sigma2 I + A A^H)^-1 s1
+    by a direct m x m solve; user ``tagged`` plays user 1."""
     rng = np.random.default_rng(seed)
     s = (rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k)))
     s /= math.sqrt(2 * m)
     h = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / math.sqrt(2)
     p = np.abs(h) ** 2
-    a = s[:, :, 1:] * np.sqrt(p[:, None, 1:])
+    others = [j for j in range(k) if j != tagged]
+    a = s[:, :, others] * np.sqrt(p[:, None, others])
     cov = a @ a.conj().transpose(0, 2, 1) + sigma2 * np.eye(m)
-    s1 = s[:, :, 0]
+    s1 = s[:, :, tagged]
     x = np.linalg.solve(cov, s1[:, :, None])[:, :, 0]
-    return p[:, 0] * np.real(np.sum(s1.conj() * x, axis=1)), p[:, 0]
+    return p[:, tagged] * np.real(np.sum(s1.conj() * x, axis=1)), p[:, tagged]
 
 
 def pam_capacity_quadrature(levels, gamma):

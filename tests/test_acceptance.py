@@ -16,8 +16,8 @@ from cdmacal.largesys import interference_integral
 from conftest import single_state_model
 from oracles import (arrival_log_mgf_enumeration,
                      constellation_capacity_quadrature,
-                     interference_integral_closed_form, periodic_log_mgf,
-                     random_chain, sample_finite_sinr_batch, service_log_mgf,
+                     finite_sinr_all_users, interference_integral_closed_form,
+                     periodic_log_mgf, random_chain, service_log_mgf,
                      service_log_mgf_enumeration)
 
 PUBLISHED_PI = {
@@ -73,16 +73,21 @@ def test_acceptance_2_mode_thresholds():
 
 
 def test_acceptance_3_finite_system_convergence():
+    # every user of 600 draws is tagged; the per-draw means have a standard
+    # error of 6e-4.  The statistic's finite-system bias is O(1/m): it reads
+    # 0.0064 at m 128, 0.0035 at m 256 and 0.0017 at m 512 (same seed), so
+    # the tolerance is that 0.0064 as a bias bound plus 5 standard errors.
     t0 = time.perf_counter()
     sigma2 = 10 ** -0.6
     cfg = cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0)
     beta = cc.solve_fixed_point(cfg).beta
-    sinr, p1 = sample_finite_sinr_batch(256, 128, sigma2, 10_000, seed=2718)
-    rel = abs(float(np.mean(sinr / p1)) * beta - 1.0)
-    ok = rel <= 0.05
+    per_draw = finite_sinr_all_users(256, 128, sigma2, 600, seed=2718).mean(axis=1)
+    rel = abs(float(np.mean(per_draw)) * beta - 1.0)
+    se = float(np.std(per_draw, ddof=1)) * beta / math.sqrt(per_draw.size)
+    ok = rel <= 0.01
     _report(3, "finite-system SINR matches the decoupled value", ok,
-            f"|mean(SINR/p1)*beta - 1| = {rel:.4f} (tol 0.05), m=256, 1e4 draws",
-            t0, 600.0)
+            f"|mean(SINR/p)*beta - 1| = {rel:.4f} (se {se:.4f}, tol 0.01), "
+            f"m=256, 600 draws of 128 users", t0, 600.0)
 
 
 def test_acceptance_4_bound_holds_in_simulation(ref_cfg, ref_model):

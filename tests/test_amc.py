@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import cdmacal as cc
+from cdmacal import amc
 from cdmacal.amc import Mode, ModeTable
 
 from oracles import (constellation_capacity_product_rule,
@@ -185,6 +186,29 @@ def test_verify_thresholds_smoke_loose_budget():
     assert all(c.solvable for c in checks)
     assert all(abs(c.error_db) < 0.5 for c in checks)
     assert checks == cc.verify_thresholds(cc.default_mode_table(), tol_db=0.5)
+
+
+def test_shared_capacity_arrays_are_read_only():
+    # every capacity call shares the level gaps of each PAM side and the
+    # Gauss-Hermite node arrays
+    assert sorted(amc._LEVEL_GAPS) == [2, 4, 8]
+    for arr in (amc._GH_X, amc._GH_X2, *amc._LEVEL_GAPS.values()):
+        assert not arr.flags.writeable
+
+
+def test_verify_thresholds_evaluation_budget(monkeypatch):
+    # the two bracket ends and Brent's steps for each of the six nonzero-rate
+    # modes of the default table (45 capacity evaluations measured)
+    calls = []
+    capacity = amc.constellation_capacity
+
+    def counted_capacity(*args):
+        calls.append(args)
+        return capacity(*args)
+    monkeypatch.setattr(amc, "constellation_capacity", counted_capacity)
+    checks = cc.verify_thresholds(cc.default_mode_table())
+    assert all(c.solvable for c in checks)
+    assert len(calls) <= 45, len(calls)
 
 
 def test_verify_thresholds_rejects_bad_tolerance():

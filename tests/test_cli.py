@@ -1,15 +1,69 @@
 """Command-line verbs, exit codes, and strict-mode behavior."""
+from pathlib import Path
+import re
+
 import numpy as np
 import pytest
 
+from cdmacal import cli
 from cdmacal.cli import _build_spec, build_parser, main
 from cdmacal.experiment import KEYS
 
+GOLDEN = Path(__file__).parent / "golden"
 POINT_ARGS = ["--snr-avg-db", "6", "--alpha", "0.5", "--f-m-hz", "20"]
 
 
 def _read(path):
     return path.read_text(encoding="utf-8")
+
+
+def _matches_golden(path, name):
+    """Whether the file at path holds the bytes of golden file name, apart
+    from the ``# generated`` timestamp line."""
+    untimed = lambda data: re.sub(rb"(?m)^# generated [^\n]*\n", b"", data)
+    return untimed(path.read_bytes()) == untimed((GOLDEN / name).read_bytes())
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._shared_parser.cache_clear()
+    assert main(["thresholds", "--bogus"]) == 1
+    assert main(["thresholds"]) == 0
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_a_verb_leaves_nothing_for_the_next_call(tmp_path):
+    # the shared parser's per-verb defaults are only read: a validate or an
+    # alpha sweep before solve leaves solve's bytes as they are alone, with
+    # empty sim_* columns
+    before = (["validate", *POINT_ARGS, "--validate-slots", "2000", "--seed", "7"],
+              ["sweep", *POINT_ARGS, "--sweep-axis", "alpha", "--sweep-start",
+               "0.5", "--sweep-stop", "1.0", "--sweep-step", "0.5"])
+    for i, argv in enumerate(before):
+        assert main([*argv, "--output", str(tmp_path / "first.csv")]) == 0
+        out = tmp_path / ("solve%d.csv" % i)
+        assert main(["solve", *POINT_ARGS, "--output", str(out)]) == 0
+        assert _matches_golden(out, "solve.csv"), argv[0]
+        header, row = [l for l in _read(out).splitlines() if not l.startswith("#")]
+        fields = dict(zip(header.split(","), row.split(",")))
+        sim = [k for k in fields if k.startswith("sim_")]
+        assert sim and all(fields[k] == "" for k in sim), fields
+
+
+def test_a_usage_error_leaves_the_next_call_intact(tmp_path):
+    assert main(["thresholds", "--bogus"]) == 1
+    out = tmp_path / "thresholds.csv"
+    assert main(["thresholds", "--output", str(out)]) == 0
+    assert _matches_golden(out, "thresholds.csv")
 
 
 def test_solve_writes_csv(tmp_path, capsys):

@@ -22,7 +22,7 @@ from cdmacal import sim
 
 from conftest import single_state_model
 from oracles import (fifo_queue_exact, fifo_queue_whole_array,
-                     finite_sinr_direct, fsmc_path_loop,
+                     finite_sinr_all_users, finite_sinr_direct, fsmc_path_loop,
                      random_birth_death_chain, sample_finite_sinr_batch)
 
 
@@ -49,6 +49,19 @@ def test_finite_sinr_woodbury_matches_direct_solve():
         want, p1_want = finite_sinr_direct(16, k, sigma2, 64, seed=5)
         assert np.array_equal(p1, p1_want)
         assert np.allclose(sinr, want, rtol=1e-9, atol=0)
+
+
+def test_finite_sinr_all_users_matches_direct_solve():
+    # every user of each draw against a direct m x m solve that tags it
+    for k, sigma2 in ((8, 0.5), (16, 1e-3), (1, 0.25)):
+        ratio = finite_sinr_all_users(16, k, sigma2, 64, seed=5, chunk=64)
+        assert ratio.shape == (64, k)
+        for j in range(k):
+            sinr, p = finite_sinr_direct(16, k, sigma2, 64, seed=5, tagged=j)
+            assert np.allclose(ratio[:, j], sinr / p, rtol=1e-9, atol=0), (k, j)
+    assert finite_sinr_all_users(8, 2, 0.5, 0).shape == (0, 2)
+    with pytest.raises(ValueError, match="sigma2"):
+        finite_sinr_all_users(8, 2, 0.0, 1)
 
 
 def test_finite_sinr_single_draw_and_validation():

@@ -29,3 +29,20 @@ def test_edge_values():
     assert arr[0] == 0.0 and arr[1] == 1.0
     back = linear_to_db(np.array([0.0, 1.0]))
     assert back[0] == -math.inf and back[1] == 0.0
+
+
+def test_a_float_gives_the_bits_of_a_0d_array():
+    # a float skips NumPy's array path; it must give that path's 0-d bits
+    # across the dB range the pipeline uses and at the edges, and an
+    # overflowing input gives inf without raising
+    rng = np.random.default_rng(27)
+    draws = rng.uniform(-60.0, 80.0, 20_000)
+    edges = [-math.inf, math.nan, math.inf, -3300.0, 2999.9, 3082.5, 3083.0, 4000.0]
+    with np.errstate(over="ignore"):
+        for x in [*draws, *edges]:
+            want = np.float64(db_to_linear(np.asarray(x))).tobytes()
+            for scalar in (float(x), np.float64(x)):
+                got = db_to_linear(scalar)
+                assert type(got) is float and np.float64(got).tobytes() == want, x
+        assert db_to_linear(4000.0) == math.inf
+    assert db_to_linear(-3300.0) == 0.0 and math.isnan(db_to_linear(math.nan))
