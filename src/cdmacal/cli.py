@@ -104,7 +104,7 @@ def _cmd_thresholds(args):
         lines.append(",".join(_fmt(x) for x in (
             c.mode_index, c.label, c.rate_bps_hz, c.table_db, c.solved_db,
             c.error_db, c.solvable, c.within_tol)))
-    _write("\n".join(lines) + "\n", args.output)
+    _write("\n".join(lines) + "\n", args.output or spec.output)
     if args.strict and any(not (c.solvable and c.within_tol) for c in checks):
         return 2
     return 0

@@ -71,26 +71,31 @@ class FsmcModel:
         return len(self.pi)
 
     @functools.cached_property
+    def bands(self):
+        """The bands of P as read-only views, (up, diag, down), P[i, i+1],
+        P[i, i] and P[i+1, i]; names the first row with an entry off them."""
+        p = self.transition
+        for i in np.flatnonzero((np.triu(p, 2) + np.tril(p, -2)).any(axis=1))[:1]:
+            raise ValueError(f"transition row {i} has an entry off the tridiagonal band")
+        return np.diagonal(p, 1), np.diagonal(p), np.diagonal(p, -1)
+
+    @functools.cached_property
     def birth_death(self):
         """netcal's form of the chain, formed once per model: ln sqrt(P_ij P_ji)
-        (ln P_ii on the diagonal), ln pi and the bands of P as lists.  Names the
-        first entry off the band, or rate pair with one rate zero or flows apart
-        by more than build_fsmc's rounding, 4u / (1 - u)^2 with u = eps / 2."""
-        p, pi, eps = self.transition, self.pi, np.finfo(float).eps
-        up, down = np.diagonal(p, 1), np.diagonal(p, -1)
-        flow, back = pi[:-1] * up, pi[1:] * down
-        for bad, msg in (
-                ((np.triu(p, 2) + np.tril(p, -2)).any(axis=1),
-                 "transition row {i} has an entry off the tridiagonal band"),
-                (((up == 0) != (down == 0))
-                 | (np.abs(flow - back) > 2 * eps / (1 - eps) * np.maximum(flow, back)),
-                 "pi[{i}] transition[{i}, {j}] and pi[{j}] transition[{j}, {i}]: one "
-                 "rate is zero or the flows differ (no detailed balance)")):
-            for i in np.flatnonzero(bad)[:1]:
-                raise ValueError(msg.format(i=i, j=i + 1))
+        (ln P_ii on the diagonal), ln pi and the bands as lists.  Names the first
+        rate pair with one rate zero or flows apart by more than build_fsmc's
+        rounding, 4u / (1 - u)^2 with u = eps / 2."""
+        (up, diag, down), p, pi = self.bands, self.transition, self.pi
+        flow, back, eps = pi[:-1] * up, pi[1:] * down, np.finfo(float).eps
+        bad = (((up == 0) != (down == 0))
+               | (np.abs(flow - back) > 2 * eps / (1 - eps) * np.maximum(flow, back)))
+        for i in np.flatnonzero(bad)[:1]:
+            raise ValueError(f"pi[{i}] transition[{i}, {i + 1}] and pi[{i + 1}] "
+                             f"transition[{i + 1}, {i}]: one rate is zero or the "
+                             "flows differ (no detailed balance)")
         with np.errstate(divide="ignore"):     # sqrt(x x) is x above 1.5e-154
             return (np.log(np.sqrt(p * p.T)), np.log(pi), up.tolist(),
-                    np.diagonal(p).tolist(), down.tolist())
+                    diag.tolist(), down.tolist())
 
     def stationary_mismatch(self):
         """l1 norm of pi P - pi; a diagnostic, expected at rounding level."""
@@ -110,42 +115,28 @@ def build_fsmc(cfg, channel):
     gamma_bar from the large-system solve.  Raises SlowFadingViolation when
     any one-step probability leaves [0, 1] instead of clamping.
     """
-    gamma_bar = channel.gamma_bar
-    table = cfg.modes
-    edges = _edges(table.thresholds_linear)
+    table, gamma_bar = cfg.modes, channel.gamma_bar
     pi = stationary_distribution(table.thresholds_linear, gamma_bar)
-    L = len(pi)
-
-    crossings = level_crossing_rate(edges, gamma_bar, cfg.f_m_hz) * cfg.t_b_s
-    up = np.zeros(L)
-    down = np.zeros(L)
-    bad = []
-    for l in range(L):
-        for target, rate in ((up, crossings[l + 1] if l < L - 1 else 0.0),
-                             (down, crossings[l] if l > 0 else 0.0)):
-            if rate == 0.0:
-                continue
-            if pi[l] <= 0.0:
-                raise SlowFadingViolation(
-                    [l], f"state has zero occupancy but boundary crossing rate {rate:.3g}")
-            target[l] = rate / pi[l]
-        if up[l] > 1.0 or down[l] > 1.0 or up[l] + down[l] > 1.0:
-            bad.append(l)
+    # up and down crossings per state; Gamma_0 = 0 and Gamma_L = inf give none
+    inner = level_crossing_rate(table.thresholds_linear[1:], gamma_bar,
+                                cfg.f_m_hz) * cfg.t_b_s
+    crossings = np.array((np.append(inner, 0.0), np.append(0.0, inner)))
+    moving = crossings != 0                 # a NaN rate moves too
+    for l in np.flatnonzero(moving.any(axis=0) & (pi <= 0))[:1]:
+        raise SlowFadingViolation([int(l)], "state has zero occupancy but boundary "
+                                  f"crossing rate {crossings[moving[:, l], l][0]:.3g}")
+    up, down = np.divide(crossings, pi, out=np.zeros_like(crossings), where=moving)
+    bad = np.flatnonzero((up > 1.0) | (down > 1.0) | (up + down > 1.0)).tolist()
     if bad:
         raise SlowFadingViolation(
             bad, f"f_m_hz={cfg.f_m_hz}, t_b_s={cfg.t_b_s} make one-step "
                  "probabilities leave [0, 1]; shorten the slot or reduce the Doppler")
-
-    p = np.zeros((L, L))
-    idx = np.arange(L)
-    p[idx, idx] = 1.0 - up - down
-    p[idx[:-1], idx[:-1] + 1] = up[:-1]
-    p[idx[1:], idx[1:] - 1] = down[1:]
+    p = np.diag(1.0 - up - down) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
 
     rates_blocks = table.rates_bps_hz * cfg.t_b_s * cfg.w_hz / cfg.n_b_bits
     return FsmcModel(
         transition=_freeze(p),
         pi=_freeze(pi),
-        rates_bps_hz=_freeze(table.rates_bps_hz.copy()),
+        rates_bps_hz=table.rates_bps_hz,
         rates_blocks=_freeze(rates_blocks),
     )

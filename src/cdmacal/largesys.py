@@ -44,8 +44,12 @@ class SystemConfig:
     modes: ModeTable = field(default_factory=default_mode_table)
 
     def __post_init__(self):
-        if not math.isfinite(self.snr_avg_db):
-            raise ValueError("snr_avg_db must be finite")
+        try:    # Python's power: NumPy's bits, but OverflowError, not a warning
+            inverse = 1.0 / 10.0 ** (-float(self.snr_avg_db) / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            inverse = 0.0
+        if not 0 < inverse < math.inf:      # NaN too; |snr| up to about 3082 dB
+            raise ValueError("snr_avg_db must give finite positive sigma^2 and 1/sigma^2")
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         if not self.f_m_hz >= 0:

@@ -34,8 +34,8 @@ _WORDS = 4096
 @functools.lru_cache(maxsize=16)
 def _word_table(model):
     """simulate_fsmc's per-model part: cuts, K, w, one, table, word scale."""
-    lo = np.append(0.0, np.diagonal(model.transition, -1))
-    mid = lo + np.diagonal(model.transition)
+    lo = np.append(0.0, model.bands[2])
+    mid = lo + model.bands[1]
     th = np.sort(np.concatenate((lo, mid)))     # th[0] = lo[0] = 0: no cut
     cuts = th[1:][(th[1:] > th[:-1]) & (th[1:] < 1)]
     k = len(cuts) + 1
@@ -65,6 +65,7 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     maps: the same path as a per-slot walk.
     """
     n_slots = whole_number("n_slots", n_slots, 0)
+    cuts, k, w, one, table, scale = _word_table(model)
     rng = np.random.default_rng(seed)
     if n_slots == 0:
         return np.empty(0, dtype=np.int64)
@@ -76,7 +77,6 @@ def simulate_fsmc(model: FsmcModel, n_slots, seed=None, init_state=None):
     else:
         state = whole_number("init_state", init_state, 0, n_states - 1)
     m = n_slots - 1
-    cuts, k, w, one, table, scale = _word_table(model)
     blk = max(1, min(_BLOCK, -(-m // w)))
     nb = -(-m // (w * blk))
     u = rng.random(m)

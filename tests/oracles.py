@@ -10,8 +10,10 @@ delay bound, bisection for the large-system fixed point, arbitrary
 precision for the interference integral's closed form, a direct m x m
 solve for the finite-system SINR, one-dimensional adaptive quadrature of
 the PAM sums and a two-dimensional product Gauss-Hermite rule over the
-complex points for the constellation capacity, a per-slot walk for the
-chain path, and whole-path arrays instead of chunks, or Lindley's
+complex points for the constellation capacity, a per-state loop over the
+library's own crossing rates and occupancies for the chain's bands (the
+construction ``build_fsmc`` replaced, so that its P can be held bit for
+bit), a per-slot walk for the chain path, and whole-path arrays instead of chunks, or Lindley's
 recursion slot by slot in exact rational arithmetic, for the FIFO queue's
 departures.  The exponential SNR density and the dB
 conversion are the textbook formulas the pipeline is built on, kept here
@@ -38,7 +40,8 @@ from scipy.special import logsumexp
 
 from cdmacal import netcal
 from cdmacal._search import minimize_bounded
-from cdmacal.errors import whole_number
+from cdmacal.errors import SlowFadingViolation, whole_number
+from cdmacal.fsmc import _edges, level_crossing_rate, stationary_distribution
 
 
 def arrival_log_mgf_enumeration(delta, tau, theta, t):
@@ -515,6 +518,42 @@ def linear_to_db(x):
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(x)
     return out if out.ndim else float(out)
+
+
+def fsmc_transition_loop(cfg, channel):
+    """``build_fsmc``'s transition matrix, filled one state at a time: the
+    up and down probabilities N(Gamma) T_b / pi_l, a zero-occupancy refusal
+    at the first state that moves, then one refusal naming every state whose
+    probabilities leave [0, 1]."""
+    gamma_bar = channel.gamma_bar
+    pi = stationary_distribution(cfg.modes.thresholds_linear, gamma_bar)
+    L = len(pi)
+    crossings = level_crossing_rate(_edges(cfg.modes.thresholds_linear),
+                                    gamma_bar, cfg.f_m_hz) * cfg.t_b_s
+    up = np.zeros(L)
+    down = np.zeros(L)
+    bad = []
+    for l in range(L):
+        for target, rate in ((up, crossings[l + 1] if l < L - 1 else 0.0),
+                             (down, crossings[l] if l > 0 else 0.0)):
+            if rate == 0.0:
+                continue
+            if pi[l] <= 0.0:
+                raise SlowFadingViolation(
+                    [l], f"state has zero occupancy but boundary crossing rate {rate:.3g}")
+            target[l] = rate / pi[l]
+        if up[l] > 1.0 or down[l] > 1.0 or up[l] + down[l] > 1.0:
+            bad.append(l)
+    if bad:
+        raise SlowFadingViolation(
+            bad, f"f_m_hz={cfg.f_m_hz}, t_b_s={cfg.t_b_s} make one-step "
+                 "probabilities leave [0, 1]; shorten the slot or reduce the Doppler")
+    p = np.zeros((L, L))
+    idx = np.arange(L)
+    p[idx, idx] = 1.0 - up - down
+    p[idx[:-1], idx[:-1] + 1] = up[:-1]
+    p[idx[1:], idx[1:] - 1] = down[1:]
+    return p
 
 
 def fsmc_path_loop(model, n_slots, seed=None, init_state=None):

@@ -95,6 +95,16 @@ def test_solve_uses_config_file(tmp_path):
     assert ",60," in _read(out).splitlines()[-1]
 
 
+def test_snr_outside_the_float_domain_exits_one(capsys):
+    # past about 3082 dB either way sigma^2 or 1/sigma^2 leaves the floats
+    for snr in ("-4000", "3100", "4000"):
+        assert main(["solve", *POINT_ARGS, "--snr-avg-db", snr]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: snr_avg_db must give finite "
+                                "positive sigma^2 and 1/sigma^2\n")
+
+
 def test_missing_required_key_exits_one(capsys):
     code = main(["solve", "--alpha", "0.5", "--f-m-hz", "20"])
     assert code == 1
@@ -289,6 +299,18 @@ def test_thresholds_verb(tmp_path):
     assert _read(again) == _read(out)
     # a tolerance no mode can meet is refused, not reported as a mismatch
     assert main(["thresholds", "--tol-db", "-1"]) == 1
+
+
+def test_thresholds_verb_honours_the_output_key(tmp_path, capsys):
+    # as solve does: the config's output key, unless --output overrides it
+    keyed, flag, cfgfile = (tmp_path / n for n in ("k.csv", "f.csv", "t.cfg"))
+    cfgfile.write_text("output = %s\n" % keyed, encoding="utf-8")
+    assert main(["thresholds", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["thresholds", "--config", str(cfgfile), "--output", str(flag)]) == 0
+    assert _read(flag) == _read(keyed)
+    assert main(["thresholds"]) == 0
+    assert capsys.readouterr().out == _read(keyed)
 
 
 def test_thresholds_strict_passes(tmp_path):

@@ -5,6 +5,7 @@ hand-transcribed scalar computation of the crossing-rate formulas; the
 stationary law is compared against values published for this exact model
 at -2 dB and 4 dB average SNR.
 """
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 
 import cdmacal as cc
 from cdmacal.fsmc import level_crossing_rate
+
+from oracles import fsmc_transition_loop
 
 # published stationary vectors (alpha = 0.5); the -2 dB source lists only
 # six entries, the seventh being below its print precision
@@ -162,6 +165,38 @@ def test_fast_fading_rejected_with_state_list():
         cc.build_fsmc(cfg, ch)
     assert exc.value.states
     assert "state" in str(exc.value)
+
+
+def test_build_matches_per_state_loop_bit_for_bit():
+    # P bytes, or the refused states and message, as the per-state loop
+    # gives them, from -30 to 400 dB and f_m 0 to inf Hz
+    rows = [(0, "bpsk", 0.0, -math.inf), (1, "qpsk", 1.0, 3.0)]
+    tables = (cc.default_mode_table(), cc.ModeTable.from_rows(rows),
+              cc.ModeTable.from_rows(rows[:1]))
+    kinds = set()
+    for snr, alpha, f_m, t_b, modes in itertools.product(
+            (-30.0, -6.0, 0.0, 6.0, 18.0, 40.0, 100.0, 330.0, 400.0),
+            (1e-3, 0.5, 10.0), (0.0, 2.0, 20.0, 150.0, 1e4, math.inf),
+            (1e-5, 2e-3, 1.0), tables):
+        cfg = cc.SystemConfig(snr_avg_db=snr, alpha=alpha, f_m_hz=f_m,
+                              t_b_s=t_b, modes=modes)
+        channel = cc.solve_fixed_point(cfg)
+        try:
+            want = fsmc_transition_loop(cfg, channel)
+        except cc.SlowFadingViolation as exc:
+            with pytest.raises(cc.SlowFadingViolation) as got:
+                cc.build_fsmc(cfg, channel)
+            assert (got.value.states, str(got.value)) == (exc.states, str(exc))
+            assert all(type(s) is int for s in got.value.states)
+            n = len(modes.rates_bps_hz)
+            kinds.add("zero occupancy" if "zero occupancy" in str(exc)
+                      else "every state" if exc.states == tuple(range(n))
+                      else "some states")
+            continue
+        got = cc.build_fsmc(cfg, channel).transition
+        assert got.tobytes() == want.tobytes(), (snr, alpha, f_m, t_b)
+        kinds.add("built")
+    assert kinds == {"built", "zero occupancy", "every state", "some states"}
 
 
 def test_block_rates_at_reference_point(ref_model):

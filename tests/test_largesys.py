@@ -7,6 +7,7 @@ fixed point itself is checked against a plain bisection that never runs the
 production root finder.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,8 +161,19 @@ def test_config_validation():
             cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=bad)
         with pytest.raises(ValueError, match="f_m_hz must be nonnegative"):
             cc.level_crossing_rate(1.0, 1.0, bad)
-    with pytest.raises(ValueError):
-        cc.SystemConfig(snr_avg_db=math.nan, alpha=0.5, f_m_hz=20.0)
+    # sigma^2 and 1/sigma^2 finite and positive, refused by name without a
+    # NumPy warning; inside, beta >= sigma^2 keeps gamma_bar finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for snr in (math.nan, math.inf, -math.inf, -4000.0, -3082.6, 3082.6,
+                    3100.0, 3233.0, 4000.0):
+            with pytest.raises(ValueError, match="snr_avg_db must give finite "
+                                                 "positive sigma"):
+                cc.SystemConfig(snr_avg_db=snr, alpha=0.5, f_m_hz=20.0)
+        for snr in (-3082.5, 3082.5):
+            cfg = cc.SystemConfig(snr_avg_db=snr, alpha=0.5, f_m_hz=20.0)
+            assert 0 < cfg.sigma2 < math.inf and 0 < 1 / cfg.sigma2 < math.inf
+            assert 0 < cc.solve_fixed_point(cfg).gamma_bar < math.inf
     with pytest.raises(ValueError):
         cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0, t_b_s=0.0)
     for bad in (0, 1.5, math.nan, math.inf):

@@ -190,6 +190,22 @@ def test_word_scan_matches_per_slot_walk_on_random_chains():
     assert {1, 2, 12} <= seen
 
 
+def test_chain_off_the_band_is_refused_by_name():
+    # refused by netcal's name with the off-band entry in the first or the
+    # last row, in the simulators as in the bound
+    for row, p in ((0, [[.5, 0, .5], [.25, .5, .25], [0, .5, .5]]),
+                   (2, [[.5, .5, 0], [.25, .5, .25], [.5, 0, .5]])):
+        model = cc.FsmcModel(transition=np.array(p), pi=np.full(3, 1 / 3),
+                             rates_bps_hz=np.ones(3), rates_blocks=np.ones(3))
+        match = "transition row %d has an entry off the tridiagonal band" % row
+        with pytest.raises(ValueError, match=match):
+            cc.simulate_fsmc(model, 1000, seed=1)
+        with pytest.raises(ValueError, match=match):
+            cc.simulate_fifo_queue(model, cc.PeriodicSource(0.5), 1000, seed=1)
+        with pytest.raises(ValueError, match=match):
+            cc.delay_bound(cc.PeriodicSource(0.5), model, 1e-2)
+
+
 def test_chain_reproducible_and_seed_sensitive(ref_model):
     a = cc.simulate_fsmc(ref_model, 10_000, seed=5)
     b = cc.simulate_fsmc(ref_model, 10_000, seed=5)
