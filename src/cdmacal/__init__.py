@@ -21,8 +21,8 @@ from .fsmc import (FsmcModel, build_fsmc, level_crossing_rate,
 from .largesys import (DecoupledChannel, SystemConfig, interference_integral,
                        solve_fixed_point)
 from .netcal import (DelayBoundResult, PeriodicSource, ThroughputResult,
-                     capacity_limit, delay_bound,
-                     delay_constrained_throughput, log_violation_bound)
+                     delay_bound, delay_constrained_throughput,
+                     log_violation_bound)
 from .sim import QueueTrace, simulate_fifo_queue, simulate_fsmc
 from .units import db_to_linear
 
@@ -36,8 +36,7 @@ __all__ = [
     "stationary_distribution",
     "DecoupledChannel", "SystemConfig", "interference_integral",
     "solve_fixed_point",
-    "DelayBoundResult", "PeriodicSource", "ThroughputResult",
-    "capacity_limit", "delay_bound",
+    "DelayBoundResult", "PeriodicSource", "ThroughputResult", "delay_bound",
     "delay_constrained_throughput", "log_violation_bound",
     "QueueTrace", "simulate_fifo_queue", "simulate_fsmc", "db_to_linear",
     "__version__",

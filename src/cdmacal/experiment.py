@@ -225,16 +225,18 @@ def evaluate_point(spec, value, seed_seq):
         channel = solve_fixed_point(cfg)
         model = build_fsmc(cfg, channel)
         result = delay_constrained_throughput(
-            cfg, model, epsilon=eps, d_guarantee_slots=d_g,
+            model, epsilon=eps, d_guarantee_slots=d_g,
             resolution_blocks=spec.resolution_blocks, tau_slots=spec.tau_slots)
     except SlowFadingViolation as exc:
         row["error"] = str(exc)
         return row
-    row["beta"] = 1.0 / channel.gamma_bar
+    row["beta"] = channel.beta
     row["gamma_bar"] = channel.gamma_bar
-    row["capacity_limit_bps"] = result.c_lim_bps
+    # alpha W pi.r on the table's bps/Hz; scaling pi.rates_blocks back rounds twice more
+    row["capacity_limit_bps"] = (cfg.alpha * cfg.w_hz
+                                 * float(model.pi @ cfg.modes.rates_bps_hz))
     row["throughput_blocks"] = result.lambda_blocks
-    row["throughput_bps"] = result.lambda_bps
+    row["throughput_bps"] = result.lambda_blocks * (cfg.alpha * cfg.n_b_bits / cfg.t_b_s)
     bound = result.delay_at_lambda
     row["delay_bound_slots"] = bound.d_slots
     row["theta_star"] = bound.theta_star

@@ -33,9 +33,9 @@ def level_crossing_rate(gamma, gamma_bar, f_m_hz):
     if np.any(g < 0):
         raise ValueError("gamma must be nonnegative")
     with np.errstate(invalid="ignore", over="ignore"):
-        out = np.where(np.isinf(g), 0.0,
-                       np.sqrt(2.0 * np.pi * g / gamma_bar) * f_m_hz
-                       * np.exp(-g / gamma_bar))
+        tail = np.exp(-g / gamma_bar)       # 0 wherever the root below overflows
+        out = np.where(tail == 0, np.where(np.isinf(g), 0.0, 0.0 * f_m_hz),
+                       np.sqrt(2.0 * np.pi * g / gamma_bar) * f_m_hz * tail)
     return out if out.ndim else float(out)
 
 
@@ -52,7 +52,8 @@ def stationary_distribution(thresholds_linear, gamma_bar):
     if not gamma_bar > 0:
         raise ValueError("gamma_bar must be positive")
     e = _edges(thresholds_linear)
-    tail = np.where(np.isinf(e), 0.0, np.exp(-e / gamma_bar))
+    with np.errstate(over="ignore"):        # e / gamma_bar = inf: exp gives 0
+        tail = np.where(np.isinf(e), 0.0, np.exp(-e / gamma_bar))
     tail[0] = 1.0
     return tail[:-1] - tail[1:]
 
@@ -63,7 +64,6 @@ class FsmcModel:
 
     transition: np.ndarray      # (L, L) row-stochastic, tridiagonal
     pi: np.ndarray              # (L,) stationary occupancy, sums to 1
-    rates_bps_hz: np.ndarray    # (L,) spectral efficiency per state
     rates_blocks: np.ndarray    # (L,) blocks served per slot per state
 
     @property
@@ -137,6 +137,5 @@ def build_fsmc(cfg, channel):
     return FsmcModel(
         transition=_freeze(p),
         pi=_freeze(pi),
-        rates_bps_hz=table.rates_bps_hz,
         rates_blocks=_freeze(rates_blocks),
     )

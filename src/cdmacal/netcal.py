@@ -301,19 +301,12 @@ def delay_bound(source, model, epsilon):
     return _delay_search(source, model, epsilon)
 
 
-def capacity_limit(cfg, model):
-    """Ergodic rate ceiling: alpha * W * sum_l R_l pi_l, in bits per second."""
-    return float(cfg.alpha * cfg.w_hz * (model.pi @ model.rates_bps_hz))
-
-
 @dataclass(frozen=True)
 class ThroughputResult:
     """Largest lattice arrival rate whose delay bound meets the guarantee;
     epsilon, the guarantee, the lattice spacing and tau stay with the caller."""
 
     lambda_blocks: float        # per-user arrival rate, blocks per slot
-    lambda_bps: float           # aggregate bits per second: alpha*lambda*Nb/Tb
-    c_lim_bps: float
     delay_at_lambda: DelayBoundResult
     infeasible: bool            # the first lattice point is refused
 
@@ -351,7 +344,7 @@ def _rate_proposal(model, tau, d_g, log_eps):
     return -fun / tau, math.exp(x)
 
 
-def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
+def delay_constrained_throughput(model, *, epsilon, d_guarantee_slots,
                                  resolution_blocks=1e-3, tau_slots=1):
     """Largest lattice arrival rate whose delay bound meets the guarantee.
 
@@ -395,8 +388,6 @@ def delay_constrained_throughput(cfg, model, *, epsilon, d_guarantee_slots,
         lam, seed = _rate_proposal(model, tau_slots, d_g, log_eps)
         guess = math.floor(lam / resolution_blocks) + 1 if math.isfinite(lam) else None
         k, top = _first_true(refused, 1, k_stab, guess) - 1, d_g
-    lam = k * resolution_blocks
     return ThroughputResult(
-        lambda_blocks=lam, lambda_bps=lam * (cfg.alpha * cfg.n_b_bits / cfg.t_b_s),
-        c_lim_bps=capacity_limit(cfg, model), infeasible=infeasible,
+        lambda_blocks=k * resolution_blocks, infeasible=infeasible,
         delay_at_lambda=_delay_search(source(k), model, epsilon, top, held))

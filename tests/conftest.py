@@ -31,6 +31,5 @@ def single_state_model(rate_blocks):
     return cc.FsmcModel(
         transition=np.array([[1.0]]),
         pi=np.array([1.0]),
-        rates_bps_hz=np.array([rate_blocks / 4.0]),
         rates_blocks=np.array([float(rate_blocks)]),
     )

@@ -1,6 +1,7 @@
 """Command-line verbs, exit codes, and strict-mode behavior."""
 from pathlib import Path
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ def test_snr_outside_the_float_domain_exits_one(capsys):
         assert captured.out == ""
         assert captured.err == ("config error: snr_avg_db must give finite "
                                 "positive sigma^2 and 1/sigma^2\n")
+
+
+def test_snr_where_gamma_over_gamma_bar_overflows_gives_a_zero_rate_row(capsys):
+    # below about -3063 dB Gamma_l / gamma_bar overflows: every mode above
+    # outage then has zero occupancy and crossing rate, as at -3000 dB
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for snr in ("-3082.5", "-3070", "-3063", "-3000"):
+            assert main(["solve", *POINT_ARGS, "--snr-avg-db", snr]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            header, values = captured.out.splitlines()[-2:]
+            row = dict(zip(header.split(","), values.split(",")))
+            assert row["error"] == "" and row["capacity_limit_bps"] == "0"
+            assert row["throughput_blocks"] == "0" and row["infeasible"] == "true"
 
 
 def test_missing_required_key_exits_one(capsys):

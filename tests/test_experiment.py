@@ -191,6 +191,25 @@ def test_single_point_run_row_contents(ref_model):
         0.5 * row["throughput_blocks"] * 10_000 / 2e-3)
 
 
+def test_row_forms_bits_per_second_from_the_config():
+    # t_b W / n_b = 5/3, not the default 4, so a rate read in the wrong unit
+    # shows; -3000 dB leaves only the outage mode occupied (zero capacity),
+    # and -2 dB at load 0.2 is infeasible at the default lattice spacing
+    for snr, alpha in ((-3000.0, 0.5), (-2.0, 0.2), (6.0, 0.5), (14.0, 1.0)):
+        cfg = cc.SystemConfig(snr_avg_db=snr, alpha=alpha, f_m_hz=20.0,
+                              t_b_s=1e-3, w_hz=5e6, n_b_bits=3000)
+        row = evaluate_point(cc.ExperimentSpec(system=cfg), None, None)
+        channel = cc.solve_fixed_point(cfg)
+        pi = cc.build_fsmc(cfg, channel).pi
+        cap = alpha * 5e6 * math.fsum(pi * cfg.modes.rates_bps_hz)
+        assert row["error"] == "" and row["beta"] == channel.beta
+        assert row["capacity_limit_bps"] == pytest.approx(cap, rel=1e-15, abs=0)
+        assert row["throughput_bps"] == row["throughput_blocks"] * (alpha * 3000 / 1e-3)
+        assert (cap == 0) == (snr == -3000.0)
+        assert row["throughput_bps"] == 0 or (row["throughput_bps"]
+                                              < row["capacity_limit_bps"])
+
+
 def test_guarantee_sweep_keeps_one_channel():
     spec = cc.parse_config(BASE + "sweep_axis = delay_guarantee\n"
                            "sweep_start = 50\nsweep_stop = 150\nsweep_step = 50\n")

@@ -49,8 +49,7 @@ RES = 1e-3
 
 
 def _chain_model(pi, p, rates):
-    return cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
-                        rates_blocks=rates)
+    return cc.FsmcModel(transition=p, pi=pi, rates_blocks=rates)
 
 
 def _oracle(model, source, theta, d, horizon):
@@ -343,7 +342,7 @@ def test_certificate_near_the_stability_limit_holds_on_both_chains(ref_model,
         assert log_f <= math.log(1e-2), (margin, stochastic, res, log_f)
 
 
-def test_printed_theta_certifies_its_delay_on_a_near_periodic_chain(ref_cfg):
+def test_printed_theta_certifies_its_delay_on_a_near_periodic_chain():
     # a two-state chain whose first state has no self-loop, at tau 5 and a
     # one-slot guarantee: ln F is not convex in theta there, and a full
     # minimisation at the reported delay stops at a theta (4.18761) where
@@ -354,7 +353,7 @@ def test_printed_theta_certifies_its_delay_on_a_near_periodic_chain(ref_cfg):
     pi, p = np.array([1 - pi1, pi1]), np.array([[0.0, 1.0], [ratio, 1 - ratio]])
     rates = np.array([7.83595831, 23.00699054])
     model = _chain_model(pi, p, rates)
-    res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(model, epsilon=1e-2,
                                           d_guarantee_slots=1, tau_slots=5)
     bound = res.delay_at_lambda
     assert bound.valid and bound.d_slots == 1
@@ -572,14 +571,8 @@ def test_theta_search_without_a_stable_theta_raises_no_warning():
         cc.delay_bound(src, model, 0.3)
 
 
-def test_capacity_limit_is_the_weighted_rate_sum(ref_cfg, ref_model):
-    want = ref_cfg.alpha * ref_cfg.w_hz * float(
-        np.dot(ref_model.pi, ref_model.rates_bps_hz))
-    assert cc.capacity_limit(ref_cfg, ref_model) == pytest.approx(want, rel=1e-15)
-
-
-def test_throughput_search_returns_lattice_certificate(ref_cfg, ref_model):
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+def test_throughput_search_returns_lattice_certificate(ref_model):
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=100)
     assert not res.infeasible
     k = res.lambda_blocks / RES
@@ -590,15 +583,13 @@ def test_throughput_search_returns_lattice_certificate(ref_cfg, ref_model):
     # the next lattice point fails the guarantee
     above = cc.PeriodicSource(res.lambda_blocks + RES)
     assert cc.delay_bound(above, ref_model, 1e-2).d_slots > 100
-    assert res.lambda_bps == pytest.approx(
-        ref_cfg.alpha * res.lambda_blocks * ref_cfg.n_b_bits / ref_cfg.t_b_s)
-    assert res.lambda_bps < res.c_lim_bps
+    assert res.lambda_blocks < float(ref_model.pi @ ref_model.rates_blocks)
 
 
-def test_throughput_grows_with_looser_guarantee(ref_cfg, ref_model):
+def test_throughput_grows_with_looser_guarantee(ref_model):
     lam = []
     for d in (40, 100, 200):
-        res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+        res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                               d_guarantee_slots=d)
         _assert_certificate(ref_model, cc.PeriodicSource(res.lambda_blocks),
                             res.delay_at_lambda)
@@ -606,10 +597,10 @@ def test_throughput_grows_with_looser_guarantee(ref_cfg, ref_model):
     assert lam[0] <= lam[1] <= lam[2]
 
 
-def test_bursty_source_certifies_the_exact_rate(ref_cfg, ref_model):
+def test_bursty_source_certifies_the_exact_rate(ref_model):
     # tau 5 at the reference point: the exact sum certifies 1.673 blocks
     # per slot within 100 slots
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=100, tau_slots=5)
     assert res.lambda_blocks >= 1.673 - 1e-9
     assert res.delay_at_lambda.d_slots <= 100
@@ -621,12 +612,12 @@ def test_bursty_source_certifies_the_exact_rate(ref_cfg, ref_model):
 
 @pytest.mark.parametrize("tau", [1, 5])
 @pytest.mark.parametrize("d_guarantee", [40, 100, 200])
-def test_reported_delay_matches_the_unbounded_search(ref_cfg, ref_model,
+def test_reported_delay_matches_the_unbounded_search(ref_model,
                                                      d_guarantee, tau):
     # the throughput searches the reported delay only up to the guarantee;
     # it must equal the public search over all delays, and each exponent
     # must certify it
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d_guarantee,
                                           tau_slots=tau)
     assert not res.infeasible
@@ -639,8 +630,8 @@ def test_reported_delay_matches_the_unbounded_search(ref_cfg, ref_model,
             bound.theta_star, int(bound.d_slots)) <= math.log(1e-2), bound
 
 
-def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+def test_zero_guarantee_is_infeasible(ref_model):
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=0)
     assert res.infeasible
     assert res.lambda_blocks == 0.0
@@ -649,45 +640,44 @@ def test_zero_guarantee_is_infeasible(ref_cfg, ref_model):
     assert cc.delay_bound(first, ref_model, 1e-2).d_slots > 0
 
 
-def test_all_outage_channel_carries_nothing(ref_cfg):
+def test_all_outage_channel_carries_nothing():
     model = single_state_model(0.0)
-    res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(model, epsilon=1e-2,
                                           d_guarantee_slots=100)
     assert res.infeasible and res.lambda_blocks == 0.0
-    assert cc.capacity_limit(ref_cfg, model) == 0.0
 
 
-def test_deterministic_server_saturates_to_its_rate(ref_cfg):
+def test_deterministic_server_saturates_to_its_rate():
     # the search stops at the service rate or one lattice step below it:
     # at and above delta = rate the sum diverges and the point is rejected
     model = single_state_model(6.0)
-    res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(model, epsilon=1e-2,
                                           d_guarantee_slots=50)
     assert not res.infeasible
     assert 6.0 - 2.5 * RES <= res.lambda_blocks <= 6.0 + 1e-9
 
 
-def test_throughput_input_validation(ref_cfg, ref_model):
+def test_throughput_input_validation(ref_model):
     with pytest.raises(ValueError):
-        cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+        cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                         d_guarantee_slots=-1)
     with pytest.raises(ValueError):
-        cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+        cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                         d_guarantee_slots=10,
                                         resolution_blocks=0.0)
     for eps in (0.0, 1.0):
         with pytest.raises(ValueError):
-            cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=eps,
+            cc.delay_constrained_throughput(ref_model, epsilon=eps,
                                             d_guarantee_slots=10)
 
 
-def test_whole_number_arguments_refused_by_name(ref_cfg, ref_model):
+def test_whole_number_arguments_refused_by_name(ref_model):
     src = cc.PeriodicSource(1.0)
     calls = {
         "tau_slots": lambda x: cc.PeriodicSource(1.0, tau_slots=x),
         "d_slots": lambda x: cc.log_violation_bound(src, ref_model, 0.1, x),
         "d_guarantee_slots": lambda x: cc.delay_constrained_throughput(
-            ref_cfg, ref_model, epsilon=1e-2, d_guarantee_slots=x),
+            ref_model, epsilon=1e-2, d_guarantee_slots=x),
     }
     for name, call in calls.items():
         for bad in (math.nan, math.inf, -math.inf, 1.5):
@@ -813,8 +803,7 @@ def _check_against_lattice_bisection(model, eps, d, tau, monkeypatch, bad=None,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = cc.delay_constrained_throughput(
-            cc.SystemConfig(snr_avg_db=6.0, alpha=0.5, f_m_hz=20.0), model,
-            epsilon=eps, d_guarantee_slots=d, resolution_blocks=res_blocks,
+            model, epsilon=eps, d_guarantee_slots=d, resolution_blocks=res_blocks,
             tau_slots=tau)
     monkeypatch.undo()
     got = (res.lambda_blocks, res.infeasible, res.delay_at_lambda.d_slots,
@@ -896,7 +885,7 @@ def _count_work(monkeypatch):
 
 
 @pytest.mark.parametrize("d, tau", [(60, 1), (100, 1), (140, 1), (100, 5)])
-def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
+def test_throughput_point_evaluation_budget(ref_model, monkeypatch,
                                             d, tau):
     # ln F evaluations and per-theta eigensolves per throughput point at the
     # reference point: the rate proposal reads the spectrum alone, then the
@@ -905,32 +894,32 @@ def test_throughput_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
     # theta that reads +inf costs an eigensolve too, and a theta met again
     # costs none (8-9 evaluations and 14-18 eigensolves measured)
     counts = _count_work(monkeypatch)
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d, tau_slots=tau)
     assert not res.infeasible
     assert counts["log_f"] <= 12 and counts["eigh"] <= 22, counts
 
 
-def test_long_guarantee_evaluation_budget(ref_cfg, ref_model, monkeypatch):
+def test_long_guarantee_evaluation_budget(ref_model, monkeypatch):
     # a guarantee of 10 000 slots: the delay gallops down to 9890, each
     # probe starting from the theta of the one before it (34 evaluations and
     # 32 eigensolves measured)
     counts = _count_work(monkeypatch)
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=10000)
     assert res.delay_at_lambda.d_slots == 9890
     assert counts["log_f"] <= 40 and counts["eigh"] <= 40, counts
 
 
 @pytest.mark.parametrize("d, res_blocks", [(100, 10.0), (1, 1e-3)])
-def test_infeasible_point_evaluation_budget(ref_cfg, ref_model, monkeypatch,
+def test_infeasible_point_evaluation_budget(ref_model, monkeypatch,
                                             d, res_blocks):
     # a point refused at its first lattice step reports the zero-rate
     # source's delay by doubling from one slot; each probe stops once it is
     # decided, and the one that held at the reported delay gives theta*
     # (73-79 evaluations and 9 eigensolves measured)
     counts = _count_work(monkeypatch)
-    res = cc.delay_constrained_throughput(ref_cfg, ref_model, epsilon=1e-2,
+    res = cc.delay_constrained_throughput(ref_model, epsilon=1e-2,
                                           d_guarantee_slots=d,
                                           resolution_blocks=res_blocks)
     assert res.infeasible and res.delay_at_lambda.valid

@@ -208,7 +208,7 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
     assert all(c.solvable for c in cc.verify_thresholds(cc.default_mode_table()))
     model = cc.build_fsmc(ref_cfg, channel)
     for d, tau in ((100, 1), (100, 5)):
-        res = cc.delay_constrained_throughput(ref_cfg, model, epsilon=1e-2,
+        res = cc.delay_constrained_throughput(model, epsilon=1e-2,
                                               d_guarantee_slots=d, tau_slots=tau)
         assert not res.infeasible and res.delay_at_lambda.valid
     assert counts["largesys"] == 1 and counts["amc"] == 6
@@ -219,9 +219,8 @@ def test_production_call_sites_take_scipy_steps(monkeypatch, ref_cfg):
     # with a ten-slot guarantee, where the Perron term need not dominate F
     assert not hasattr(netcal, "find_root") and counts["proposal_min"] == 2
     pi, p, rates = random_birth_death_chain(np.random.default_rng(1), 3)
-    chain = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates / 4.0,
-                         rates_blocks=rates)
-    res = cc.delay_constrained_throughput(ref_cfg, chain, epsilon=1e-2,
+    chain = cc.FsmcModel(transition=p, pi=pi, rates_blocks=rates)
+    res = cc.delay_constrained_throughput(chain, epsilon=1e-2,
                                           d_guarantee_slots=10)
     assert not res.infeasible and res.delay_at_lambda.valid
     assert counts["proposal_min"] == 3

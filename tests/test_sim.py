@@ -156,7 +156,6 @@ def _birth_death_chain(rng, n_states, share):
          + np.diag(down[1:], -1))
     pi = rng.random(n_states) + 0.05
     return cc.FsmcModel(transition=p, pi=pi / pi.sum(),
-                        rates_bps_hz=np.ones(n_states),
                         rates_blocks=np.ones(n_states))
 
 
@@ -196,7 +195,7 @@ def test_chain_off_the_band_is_refused_by_name():
     for row, p in ((0, [[.5, 0, .5], [.25, .5, .25], [0, .5, .5]]),
                    (2, [[.5, .5, 0], [.25, .5, .25], [.5, 0, .5]])):
         model = cc.FsmcModel(transition=np.array(p), pi=np.full(3, 1 / 3),
-                             rates_bps_hz=np.ones(3), rates_blocks=np.ones(3))
+                             rates_blocks=np.ones(3))
         match = "transition row %d has an entry off the tridiagonal band" % row
         with pytest.raises(ValueError, match=match):
             cc.simulate_fsmc(model, 1000, seed=1)
@@ -354,8 +353,7 @@ def test_queue_matches_exact_lindley_reference_on_random_chains(
     # rounding of S decides a departure
     pi, p, rates = random_birth_death_chain(np.random.default_rng(seed),
                                             n_states, max_rate, outage)
-    model = cc.FsmcModel(transition=p, pi=pi, rates_bps_hz=rates,
-                         rates_blocks=rates)
+    model = cc.FsmcModel(transition=p, pi=pi, rates_blocks=rates)
     src = cc.PeriodicSource(load * tau * float(pi @ rates), tau_slots=tau)
     with mock.patch.object(sim, "_CHUNK", chunk):
         got = cc.simulate_fifo_queue(model, src, n, seed=seed)
