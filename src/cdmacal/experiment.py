@@ -7,6 +7,7 @@ CSV with a commented metadata header so a result file is self-describing.
 """
 from dataclasses import MISSING, dataclass, fields, replace
 import datetime
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,9 @@ CSV_COLUMNS = (
     "bound_valid", "bound_unstable", "infeasible", "capped",
     "sim_violation_freq", "sim_violation_se", "sim_epochs", "error",
 )
+
+_channel_and_chain = functools.lru_cache(maxsize=1)(  # emptied as each run starts
+    lambda cfg: ((channel := solve_fixed_point(cfg)), build_fsmc(cfg, channel)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -211,7 +215,7 @@ def _point_inputs(spec, value):
 
 
 def evaluate_point(spec, value, seed_seq):
-    """Compute one sweep point on its own channel model; returns the row dict."""
+    """One sweep point's row dict; points of one run share one channel per SystemConfig."""
     cfg, eps, d_g = _point_inputs(spec, value)
     row = {c: "" for c in CSV_COLUMNS}
     row["axis"] = spec.sweep_axis or "none"
@@ -222,8 +226,7 @@ def evaluate_point(spec, value, seed_seq):
     row["epsilon"] = eps
     row["delay_guarantee_slots"] = d_g
     try:
-        channel = solve_fixed_point(cfg)
-        model = build_fsmc(cfg, channel)
+        channel, model = _channel_and_chain(cfg)
         result = delay_constrained_throughput(
             model, epsilon=eps, d_guarantee_slots=d_g,
             resolution_blocks=spec.resolution_blocks, tau_slots=spec.tau_slots)
@@ -264,6 +267,7 @@ def run_experiment(spec, workers=1):
     """
     if workers < 1:
         raise ConfigError("workers must be at least 1, got %r" % (workers,))
+    _channel_and_chain.cache_clear()
     values = spec.sweep_values()
     args = ([spec] * len(values), values,
             np.random.SeedSequence(spec.seed).spawn(len(values)))

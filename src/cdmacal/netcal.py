@@ -245,10 +245,10 @@ def _first_true(holds, lo, hi=None, guess=None):
     """Smallest integer n > lo with holds(n), for a predicate that is false
     up to some n and true from there on; holds(lo) counts as false and hi,
     when given, as true, neither with a probe.  Probes gallop 1, 2, 4, ...
-    away from guess, which needs hi, down while holds and up while not (up
-    from lo when neither is given), and then the bracket bisects."""
+    away from guess, down while holds and up while not (up from lo when
+    neither is given), and then the bracket bisects."""
     if guess is not None or hi is None:
-        g = lo if guess is None else max(lo, min(guess, hi))
+        g = lo if guess is None else max(lo, guess if hi is None else min(guess, hi))
         up = g == lo or (g != hi and not holds(g))
         lo, hi, step = (g, hi, 1) if up else (lo, g, -1)
         while lo < (x := g + step) and (hi is None or x < hi):
@@ -323,17 +323,18 @@ def _rate_proposal(model, tau, d_g, log_eps):
     lambda_1 is not below 1.  Where the Perron term does not dominate F near
     the root the proposal is off, and the lattice probes gallop further."""
     r = np.arange(tau)
+    stay, move = 1 - r / tau, r / tau     # NumPy sums them: math rounds otherwise
 
     def neg_delta(x):
         theta = math.exp(x)
         log_lam1, g_top, log_c = _spectrum(model, theta)[:3]
         if not log_lam1 < 0:
             return 1.0
-        lam_r = np.exp(r * log_lam1)
+        lam_r = np.exp(r * log_lam1) if tau > 1 else stay   # lambda_1^0 = 1 at tau 1
+        a, b = (stay @ lam_r, move @ lam_r) if tau > 1 else (1.0, 0.0)
         log_p = g_top + log_c[0] + (d_g - 1) * log_lam1 - log_eps
-        log_pa = log_p + math.log((1 - r / tau) @ lam_r)
-        with np.errstate(divide="ignore"):      # b = 0 at tau 1
-            log_den = np.logaddexp(tau * log_lam1, log_p + np.log(r / tau @ lam_r))
+        log_pa = log_p + math.log(a)
+        log_den = np.logaddexp(tau * log_lam1, log_p + np.log(b)) if b else tau * log_lam1
         if log_pa < 0 and (delta := (math.log1p(-math.exp(log_pa)) - log_den)
                            / theta) > 0:
             return float(-delta)
@@ -384,7 +385,8 @@ def delay_constrained_throughput(model, *, epsilon, d_guarantee_slots,
     infeasible = refused(1)
     k, top = 0, None
     if not infeasible:
-        k_stab = _first_true(lambda k: not _stable(source(k), model), 1)
+        k_stab = _first_true(lambda k: not _stable(source(k), model), 1, guess=math.ceil(
+            float(model.pi @ model.rates_blocks) / resolution_blocks))
         lam, seed = _rate_proposal(model, tau_slots, d_g, log_eps)
         guess = math.floor(lam / resolution_blocks) + 1 if math.isfinite(lam) else None
         k, top = _first_true(refused, 1, k_stab, guess) - 1, d_g

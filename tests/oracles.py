@@ -24,7 +24,11 @@ tags every user of a draw at the cost of one k x k solve.  The plain bisections
 over the rate lattice and the delay keep the library's exact ln F and
 answer each probe by ``best_theta_full``, the library's former full
 minimisation over theta: they are what the throughput search's rate
-proposal, galloping and decided probes must reproduce.  The service MGF
+proposal, galloping and decided probes must reproduce.  The throughput
+search's former stability edge, a gallop up from the first lattice point,
+and its former rate proposal, whose objective formed every tau-sum with
+NumPy on each call, are what the closed-form start and the lighter
+objective must reproduce exactly.  The service MGF
 through the library's log-domain kernel and the arrival MGF's closed form
 were public library functions that only tests called; they live here as
 the quantities the oracles above are held to.
@@ -40,6 +44,7 @@ from scipy.special import logsumexp
 
 from cdmacal import netcal
 from cdmacal._search import minimize_bounded
+from cdmacal.netcal import _first_true      # bound here: tests may patch netcal's
 from cdmacal.errors import SlowFadingViolation, whole_number
 from cdmacal.fsmc import _edges, level_crossing_rate, stationary_distribution
 
@@ -767,3 +772,38 @@ def throughput_lattice_bisection(model, epsilon, d_g, resolution, tau):
         theta = best(d)[0]
         d = math.inf if math.isnan(theta) else float(d)
     return k * resolution, infeasible, d, theta
+
+
+def stability_edge_gallop(model, resolution, tau):
+    """The first lattice point k > 1 whose batch k resolution tau leaves the
+    stable set, by ``netcal._first_true`` galloping up from point 1: the
+    throughput search's stability edge before it started from pi Rb over
+    the lattice spacing."""
+    return _first_true(lambda k: not netcal._stable(
+        netcal.PeriodicSource(k * resolution * tau, tau), model), 1)
+
+
+def rate_proposal_numpy(model, tau, d_g, log_eps):
+    """``netcal._rate_proposal`` as it was before its objective hoisted the
+    tau-sums' weights: every call forms lambda_1^r, a, b and their sum with
+    NumPy, and takes ln b under ``np.errstate`` (b = 0 at tau 1)."""
+    r = np.arange(tau)
+
+    def neg_delta(x):
+        theta = math.exp(x)
+        log_lam1, g_top, log_c = netcal._spectrum(model, theta)[:3]
+        if not log_lam1 < 0:
+            return 1.0
+        lam_r = np.exp(r * log_lam1)
+        log_p = g_top + log_c[0] + (d_g - 1) * log_lam1 - log_eps
+        log_pa = log_p + math.log((1 - r / tau) @ lam_r)
+        with np.errstate(divide="ignore"):
+            log_den = np.logaddexp(tau * log_lam1, log_p + np.log(r / tau @ lam_r))
+        if log_pa < 0 and (delta := (math.log1p(-math.exp(log_pa)) - log_den)
+                           / theta) > 0:
+            return float(-delta)
+        return math.tanh((log_p + math.log(lam_r.sum())
+                          - math.log(-math.expm1(tau * log_lam1))) / 2)
+    x_lo = math.log(-log_eps / (d_g * model.rates_blocks.max()))
+    x, fun = minimize_bounded(neg_delta, x_lo, x_lo + math.log(1e4), 1e-2)
+    return -fun / tau, math.exp(x)

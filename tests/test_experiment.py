@@ -220,6 +220,33 @@ def test_guarantee_sweep_keeps_one_channel():
     assert len({r["beta"] for r in rows}) == 1
 
 
+@pytest.mark.parametrize("extra, per_run", [
+    ("", 1),
+    ("sweep_axis = delay_guarantee\nsweep_start = 60\nsweep_stop = 140\n"
+     "sweep_step = 40\n", 1),
+    ("sweep_axis = epsilon\nsweep_start = 1e-3\nsweep_stop = 3e-3\n"
+     "sweep_step = 1e-3\n", 1),
+    ("sweep_axis = snr_avg_db\nsweep_start = 0\nsweep_stop = 10\n"
+     "sweep_step = 5\n", 3),
+])
+def test_points_of_one_run_share_one_chain_per_config(monkeypatch, extra, per_run):
+    # the guarantee and epsilon axes leave the SystemConfig alone, so their
+    # points share one fixed point and one chain; an SNR sweep solves each
+    # point.  Two runs in a row each build their own, so no run meets the
+    # chain (or the spectra netcal memoises per chain) of the run before it
+    solves, chains = [], []
+    solve, build = cc.experiment.solve_fixed_point, cc.experiment.build_fsmc
+    monkeypatch.setattr(cc.experiment, "solve_fixed_point",
+                        lambda cfg: solves.append(cfg) or solve(cfg))
+    monkeypatch.setattr(cc.experiment, "build_fsmc",
+                        lambda *args: chains.append(build(*args)) or chains[-1])
+    spec = cc.parse_config(BASE + extra)
+    rows = [cc.run_experiment(spec) for _ in range(2)]
+    assert rows[0] == rows[1]
+    assert len(solves) == len(chains) == 2 * per_run
+    assert not {id(c) for c in chains[:per_run]} & {id(c) for c in chains[per_run:]}
+
+
 def test_csv_identical_across_runs_up_to_timestamp():
     spec = cc.parse_config(BASE + "validate = true\nvalidate_slots = 20000\n")
     a = cc.render_csv(spec, cc.run_experiment(spec))
@@ -253,10 +280,14 @@ def test_validation_columns_populated():
 
 
 def test_point_error_is_reported_not_raised():
-    spec = cc.parse_config(BASE.replace("f_m_hz = 20", "f_m_hz = 2000"))
-    rows = cc.run_experiment(spec)
-    assert rows[0]["error"] != ""
-    assert rows[0]["throughput_blocks"] == ""
+    # a point run, and a sweep whose points share one SystemConfig: a chain
+    # that fails to build gives an error row at every point
+    for extra, n in (("", 1), ("sweep_axis = epsilon\nsweep_start = 1e-3\n"
+                               "sweep_stop = 3e-3\nsweep_step = 1e-3\n", 3)):
+        spec = cc.parse_config(BASE.replace("f_m_hz = 20", "f_m_hz = 2000") + extra)
+        rows = cc.run_experiment(spec)
+        assert len(rows) == n
+        assert all(r["error"] != "" and r["throughput_blocks"] == "" for r in rows)
 
 
 def test_run_experiment_rows_match_evaluate_point():

@@ -15,9 +15,11 @@ probes start from, returns the rate, flag and delay that plain bisection
 over the rate lattice and the delay returns, each of its probes answered
 there by a full minimisation, and a theta* that certifies the delay; on a
 near-periodic chain that theta* holds at 60 digits.  The rate proposal,
-which reads the spectrum alone, is finite on random chains, and a
-throughput point stays within its budget of ln F evaluations and
-eigensolves.  The chord-line minorant that certifies a refusal never
+which reads the spectrum alone, is finite on random chains, and its
+objective is the former NumPy objective's to the last bit; the stability
+edge, started from pi Rb over the lattice spacing, is the former gallop's
+within two probes; and a throughput point stays within its budget of ln F
+evaluations and eigensolves.  The chord-line minorant that certifies a refusal never
 exceeds the minimum of a random convex function.
 A chain that is not a reversible birth-death chain is refused by name.
 """
@@ -26,21 +28,24 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cdmacal as cc
 from cdmacal import netcal
+from cdmacal._search import minimize_bounded
 
 from conftest import single_state_model
+import oracles
 from oracles import (_log_chain, arrival_log_mgf_enumeration,
                      first_true_bisection, lattice_refusal, log_matmul,
                      log_matmul_mp, log_violation_bound_log_domain,
                      log_violation_bound_mp,
                      periodic_log_mgf, random_birth_death_chain, random_chain,
-                     service_log_mgf, service_log_mgf_enumeration,
+                     rate_proposal_numpy, service_log_mgf, service_log_mgf_enumeration,
                      service_log_mgf_table_logsumexp,
-                     throughput_lattice_bisection, violation_bound_oracle)
+                     stability_edge_gallop, throughput_lattice_bisection,
+                     violation_bound_oracle)
 
 # the theta grid of the former truncated bound, kept as a yardstick
 GRID = np.geomspace(1e-4, 50.0, 60)
@@ -738,14 +743,14 @@ def test_minorant_never_exceeds_the_minimum(kind, slopes, signs, offsets, grid,
 def test_first_true_gallops_to_the_bisection_answer(lo, width, n_off, kind,
                                                     off, any_guess):
     # a step predicate that turns true at lo + n_off, with hi (when given)
-    # counting as true; the guess, which needs hi, may sit outside (lo, hi)
-    # or miss by one
+    # counting as true; the guess, with or without hi, may sit outside
+    # (lo, hi) or miss by one
     hi = None if width is None else lo + width
     step_at = lo + n_off
     n = first_true_bisection(lambda x: x >= step_at, lo, hi)
-    guess = None if hi is None else {
-        "none": None, "below": lo - off, "above": hi + off, "exact": n,
-        "minus": n - 1, "plus": n + 1, "any": any_guess}[kind]
+    guess = {"none": None, "below": lo - off, "exact": n, "minus": n - 1,
+             "plus": n + 1, "any": any_guess,
+             "above": (step_at if hi is None else hi) + off}[kind]
     probes = []
 
     def holds(x):
@@ -755,6 +760,73 @@ def test_first_true_gallops_to_the_bisection_answer(lo, width, n_off, kind,
     assert all(lo < x and (hi is None or x < hi) for x in probes)
     if guess is not None:
         assert len(probes) <= 2 * math.ceil(math.log2(abs(n - guess) + 2)) + 2
+
+
+def test_stability_edge_is_the_gallop_from_the_first_point(monkeypatch):
+    # the throughput search's stability edge, the first lattice point whose
+    # batch leaves the stable set, starts at pi Rb over the spacing and
+    # gallops from there; on random chains, one-state and outage ones among
+    # them, it equals the former gallop up from point 1, and takes at most
+    # two probes.  The search stops once the edge is found; a point refused
+    # at its first step finds none
+    class Edge(Exception):
+        pass
+    first_true, probes = netcal._first_true, []
+
+    def spy(holds, lo, hi=None, guess=None):
+        if lo == 1 and hi is None:          # the edge: only it has no top
+            raise Edge(first_true(lambda k: probes.append(k) or holds(k), lo, hi, guess))
+        return first_true(holds, lo, hi, guess)
+    monkeypatch.setattr(netcal, "_first_true", spy)
+    monkeypatch.setattr(netcal, "_delay_search", lambda *args: None)
+    rng = np.random.default_rng(2031)
+    found = set()
+    for _ in range(1000):
+        model = _chain_model(*random_birth_death_chain(
+            rng, int(rng.integers(1, 7)), float(rng.choice([3.0, 100.0])),
+            outage=bool(rng.integers(2))))
+        tau, res = int(rng.choice([1, 3, 5, 7])), float(rng.choice([1e-3, 0.37, 10.0]))
+        try:
+            cc.delay_constrained_throughput(model, epsilon=0.3, d_guarantee_slots=100,
+                                            resolution_blocks=res, tau_slots=tau)
+        except Edge as edge:
+            assert edge.args[0] == stability_edge_gallop(model, res, tau)
+            assert len(probes) <= 2, probes
+            found.add((model.n_states == 1, tau, res))
+        probes.clear()
+    assert {(n, t, r) for n in (False, True) for t in (1, 3, 5, 7)
+            for r in (1e-3, 0.37, 10.0)} <= found
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
+       outage=st.booleans(), tau=st.integers(1, 7),
+       d=st.sampled_from([1, 2, 10, 100, 1000]),
+       eps=st.sampled_from([1e-4, 1e-2, 0.3]))
+def test_rate_proposal_is_the_numpy_objective_s_bit_for_bit(
+        chain_seed, n_states, outage, tau, d, eps):
+    # the objective hoists the tau-sums' weights, skips them at tau 1, where
+    # they are 1, 0 and 1, and takes ln b only where b > 0; over the draw
+    # space of the finiteness test below, with tau up to 7, it reads the
+    # former NumPy objective's values to the last bit on a grid over its
+    # bracket, and the proposal is that objective's, as Python floats
+    model = _chain_model(*random_birth_death_chain(
+        np.random.default_rng(chain_seed), n_states, outage=outage))
+    assume(model.rates_blocks.max() > 0)    # all outage: the search makes none
+    grids = []
+
+    def spy(f, lo, hi, *args):
+        grids.append([f(x) for x in np.linspace(lo, hi, 41).tolist()])
+        return minimize_bounded(f, lo, hi, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcal, "minimize_bounded", spy)
+        mp.setattr(oracles, "minimize_bounded", spy)
+        want = rate_proposal_numpy(model, tau, d, math.log(eps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = netcal._rate_proposal(model, tau, d, math.log(eps))
+    assert got == want and [type(v) for v in got] == [float, float], (got, want)
+    assert np.array_equal(*grids, equal_nan=True)
 
 
 def _lattice_case_model(ref_model, chain_seed):
