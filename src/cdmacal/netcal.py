@@ -25,8 +25,10 @@ Rb_j) / 2} symmetric, and with M = V Lambda V^T, for tau_d >= 1,
 
 converging exactly when e^{theta delta} lambda_1^tau < 1 (the effective-
 capacity test, lambda_1 the Perron root): one eigensolve per theta, then
-O(L tau) work per delta and tau_d.  F_theta(0) >= 1, so every delay bound
-is at least one slot.
+O(L tau) work per delta and tau_d.  Where terms of negative lambda_k
+cancel most of that sum (near-periodic chains at large theta), the matrix
+form, whose terms are nonnegative, gives F instead.  F_theta(0) >= 1, so
+every delay bound is at least one slot.
 
 ln F is convex in theta (sums and products of log-convex MGFs), so one
 bounded scalar minimisation over the stable set replaces any theta grid;
@@ -116,8 +118,8 @@ def _spectrum(model, theta):
 def _log_f(model, theta, tau, d_slots, delta):
     """ln F_theta(d) at batch delta, +inf where delta is unstable, as the sum of
     the L tau terms c_k r_k^{d-1+r} b_r lambda_1^r / (1 - e^{theta delta}
-    lambda_k^tau), or where terms of negative lambda_k cancel a checked, not
-    proven, bound on F."""
+    lambda_k^tau), or by ``_log_f_direct`` where terms of negative lambda_k
+    cancel more than 4 bits of that sum."""
     log_lam1, g_top, log_c, log_ratio, neg = _spectrum(model, theta)
     e = theta * delta + tau * (log_ratio + log_lam1)  # ln|e^{theta delta} lambda_k^tau|
     if not e[0] < 0:                                  # the Perron term diverges
@@ -130,7 +132,6 @@ def _log_f(model, theta, tau, d_slots, delta):
             log_stay, log_move = (np.log1p(-r / tau) + r * log_lam1,
                                   np.log(r / tau) + r * log_lam1)
     sign = np.where(neg[:, None] & (power % 2 == 1), -1.0, 1.0) if neg[-1] else None
-    bound = math.ulp(1.0) * len(neg) * (d_slots + tau + 1)
     flip = neg & (tau % 2 == 1)                       # lambda_k^tau < 0
     den = -np.expm1(e) if sign is None else np.where(flip, 1 + np.exp(e), -np.expm1(e))
     t -= np.log(den)[:, None]
@@ -138,9 +139,50 @@ def _log_f(model, theta, tau, d_slots, delta):
         t += np.logaddexp(log_stay, log_move + theta * delta)
     w = np.exp(t - (t_top := t.max()))
     total = w.sum()
-    s = total if sign is None else (sign * w).sum() + bound * total
-    return float(g_top + (d_slots - 1) * log_lam1 + t_top
-                 + math.log(s if s > 2 * bound * total else total))
+    s = total if sign is None else (sign * w).sum()
+    if not s > total / 16:      # the eigen-sum's rounding, ~100 ulp of total, shows
+        return _log_f_direct(model, theta, tau, d_slots, delta)
+    return float(g_top + (d_slots - 1) * log_lam1 + t_top + math.log(s))
+
+
+def _log_mul(a, b):
+    """ln(e^a @ e^b) for a vector or matrix a and a matrix b, each entry a
+    log-sum-exp of its terms, so none underflows before it is summed."""
+    return np.logaddexp.reduce(a[..., :, None] + b, axis=-2)
+
+
+def _log_f_direct(model, theta, tau, d_slots, delta):
+    """ln F_theta(d) = ln w_d (sum_{r < tau} b_r (P D)^r y) by the matrix form,
+    y = (I - e^{theta delta} (P D)^tau)^-1 1, with w_d by repeated squaring
+    and the powers of P D in the log domain: every term but the one L x L
+    solve is nonnegative, so none cancels; +inf where the solve does not give
+    a finite y > 0."""
+    decay = theta * model.rates_blocks
+    with np.errstate(divide="ignore"):
+        log_pd, row = np.log(model.transition) - decay, np.log(model.pi) - decay
+    powers = [log_pd]
+    for _ in range(1, tau):
+        powers.append(_log_mul(powers[-1], log_pd))
+    with np.errstate(over="ignore"):
+        try:
+            y = np.linalg.solve(np.eye(len(decay)) - np.exp(theta * delta + powers[-1]),
+                                np.ones(len(decay)))
+        except np.linalg.LinAlgError:
+            return math.inf
+    if not (y.min() > 0 and y.max() < math.inf):
+        return math.inf
+    log_z = log_y = np.log(y)
+    for r, log_pr in zip(range(1, tau), powers):
+        log_b = np.logaddexp(math.log1p(-r / tau), math.log(r / tau) + theta * delta)
+        log_z = np.logaddexp(log_z, log_b + _log_mul(log_y, log_pr.T))
+    sq, k = log_pd, d_slots - 1
+    while k:
+        if k & 1:
+            row = _log_mul(row, sq)
+        k >>= 1
+        if k:
+            sq = _log_mul(sq, sq)
+    return float(np.logaddexp.reduce(row + log_z))
 
 
 def log_violation_bound(source, model, theta, d_slots):

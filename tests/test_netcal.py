@@ -317,16 +317,30 @@ def test_cancelling_eigen_sum_gives_an_upper_bound(theta, d, want):
     # P = [[0, 1], [1/2, 1/2]] has eigenvalues of both signs; at rate 30 in
     # the second state and d 2 their terms cancel to e^{-30 theta} of their
     # size, below the sum's rounding: a plain eigen-sum reads +inf at theta 5.
-    # The kernel then stands by ln of the sum of the terms' absolute values,
-    # an upper bound, and reads the 50-digit value (want) where the sum holds
+    # The kernel then takes the matrix form, whose terms do not cancel, and
+    # reads the 50-digit value (want)
     pi, p = np.array([1 / 3, 2 / 3]), np.array([[0.0, 1.0], [0.5, 0.5]])
     rates = np.array([0.0, 30.0])
     assert log_violation_bound_mp(pi, p, rates, 0.0, 1, theta, d) == pytest.approx(
         want, rel=1e-15)
     got = netcal._log_f(_chain_model(pi, p, rates), theta, 1, d, 0.0)
-    assert want - 1e-12 * abs(want) <= got < math.inf
-    if d == 3:                              # even power: no cancellation
-        assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", [50.0, 80.0, 86.8, 88.13, 90.0, 120.0])
+@pytest.mark.parametrize("d", [1, 7, 1000])
+def test_near_periodic_chain_reads_the_50_digit_bound(theta, d):
+    # a two-state chain with no self-loop in its slow state is near periodic
+    # at large theta: lambda_2 ~ -lambda_1, and at tau 5 the terms of the two
+    # eigenvalues cancel to e^{-31} of their size at theta 88.  The eigen-sum's
+    # rounding then passed its former 14-ulp guard and read ln F 0.16 below
+    # the 50-digit value (no longer a bound) or 32 above it, a spurious dip
+    # that broke convexity and moved the throughput search's answer
+    pi, p, rates = random_birth_death_chain(np.random.default_rng(190403), 2)
+    delta = 608 * 1e-3 * 5
+    want = log_violation_bound_mp(pi, p, rates, delta, 5, theta, d, dps=60)
+    got = netcal._log_f(_chain_model(pi, p, rates), theta, 5, d, delta)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("margin", [1e-3, 1e-6])
@@ -1004,6 +1018,7 @@ def test_infeasible_point_evaluation_budget(ref_model, monkeypatch,
        d=st.sampled_from([1, 2, 10, 100, 1000]),
        eps=st.sampled_from([1e-4, 1e-2, 0.3]))
 @example(chain_seed=0, n_states=1, outage=False, tau=1, d=1, eps=1e-4)
+@example(chain_seed=190403, n_states=2, outage=False, tau=5, d=1, eps=1e-4)
 def test_rate_proposal_is_finite_and_the_result_is_plain_bisection(
         chain_seed, n_states, outage, tau, d, eps):
     # random chains, one-state ones, outage states and self-loops near 0
@@ -1011,8 +1026,10 @@ def test_rate_proposal_is_finite_and_the_result_is_plain_bisection(
     # where the Perron term need not dominate F: each proposal the throughput
     # search makes, with warnings as errors, raises nothing and gives a
     # finite rate and a finite theta > 0, and the result is plain bisection's.
-    # The example is a one-state chain at d_g 1 whose lambda_1^tau underflows
-    # inside the search range
+    # The first example is a one-state chain at d_g 1 whose lambda_1^tau
+    # underflows inside the search range; the second a near-periodic chain
+    # whose eigen-sum cancelled past its rounding guard, so the search and
+    # plain bisection read different ln F (0.608 against 0.607)
     model = _chain_model(*random_birth_death_chain(
         np.random.default_rng(chain_seed), n_states, outage=outage))
     proposals, rate_proposal = [], netcal._rate_proposal
